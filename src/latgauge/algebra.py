@@ -5,8 +5,15 @@ magnetic operator.
 
 All coefficients are exact rationals; stencil factors 1/(2a) embed
 exactly because binary floats are rationals. Commutators of field-linear
-operators are always scalars, so centers and gauge invariance reduce to
-exact nullspace computations.
+operators are always scalars, so gauge invariance reduces to an exact
+nullspace computation.
+
+Centers need no elimination. A square region's algebra is generated by
+its p components and its interior magnetic crosses b; p-p and b-b
+commutators vanish, so the pairing has one nonzero block, ``[p, b]``,
+which is the crosses' coefficient matrix. The crosses are exactly
+independent, so no b admixture is central, the center is the pure-p
+kernel of that block, and its dimension is ``2M^2 - (M-2)^2``.
 """
 
 from __future__ import annotations
@@ -112,14 +119,6 @@ class LinearOperator:
         return {site for (site, _) in self.q_coeffs} | {
             site for (site, _) in self.p_coeffs
         }
-
-    def bounding_box(self) -> tuple[Site, Site] | None:
-        sites = self.support()
-        if not sites:
-            return None
-        rows = [s[0] for s in sites]
-        cols = [s[1] for s in sites]
-        return (min(rows), min(cols)), (max(rows), max(cols))
 
     def evaluate(self, q_field: VectorField | None = None,
                  p_field: VectorField | None = None) -> float:
@@ -529,6 +528,7 @@ def local_generators(region: Region, grid: GridSpec) -> GeneratorSet:
     for site in region.stencil_interior_sites():
         gens.append(b_operator(grid, site))
         labels.append(Label("B", site))
+    # this independence check is the proof that no b admixture is central
     return GeneratorSet(gens, labels)
 
 
@@ -569,30 +569,16 @@ def _center_catalog(region: Region, grid: GridSpec) -> list[tuple[LinearOperator
 
 
 def _center_nullspace(region: Region, grid: GridSpec):
-    """Exact nullspace of the commutation pairing inside the span of the
-    region's generators; returns (dimension, reduced rows, their pivot
-    columns, coordinate index, generators)."""
+    """Center data read off the block structure of the pairing; returns
+    (dimension, interior magnetic crosses, index of the region's p
+    coordinates). ``local_generators`` has already proved the crosses
+    independent, so no elimination is needed here."""
     gens = local_generators(region, grid)
-    n = len(gens.generators)
-    comm = [
-        [commutator_scalar(gi, gk) for gk in gens.generators]
-        for gi in gens.generators
+    crosses = [
+        g for g, label in zip(gens.generators, gens.labels) if label.kind == "B"
     ]
-    null = _nullspace(comm, n)
-    # Members must be pure p: any b admixture would fail to commute with
-    # some p generator because the b rows of the pairing are independent.
-    coords = _coordinate_index(gens.generators)
-    rows = []
-    for vec in null:
-        acc = LinearOperator()
-        for coeff, g in zip(vec, gens.generators):
-            if coeff != 0:
-                acc = acc + coeff * g
-        if acc.q_coeffs:
-            raise AssertionError("center element acquired a q part")
-        rows.append(_operator_row(acc, coords))
-    reduced, pivots = _rref(rows)
-    return len(reduced), reduced, pivots, coords, gens
+    p_coords = [("p", key) for g in gens.generators for key in g.p_coeffs]
+    return len(p_coords) - len(crosses), crosses, {c: i for i, c in enumerate(p_coords)}
 
 
 _NULLSPACE_CACHE: dict = {}
@@ -609,50 +595,49 @@ def center_basis(region: Region, grid: GridSpec) -> GeneratorSet:
     """Exact basis of the center of the local algebra, labeled against
     the catalog of interior crosses and edge terms.
 
-    The dimension comes from the exact nullspace of the commutation
-    pairing; the returned basis is the deterministic greedy selection of
-    catalog elements spanning that nullspace, each re-verified to
-    commute with every generator.
+    The pairing of the generators has one nonzero block, ``[p, b]``, the
+    crosses' coefficient matrix; the crosses are independent, so the
+    center is pure p and has dimension ``2M^2 - (M-2)^2``. The returned
+    basis is the deterministic greedy selection of catalog elements
+    spanning it, each checked central by ``in_center_span``.
     """
-    dim, _null_rows, _pivots, coords, gens = _center_nullspace_cached(region, grid)
+    dim, _crosses, p_index = _center_nullspace_cached(region, grid)
 
     selected_ops: list[LinearOperator] = []
     selected_labels: list[Label] = []
-    span = _IncrementalRref(len(coords))
+    span = _IncrementalRref(len(p_index))
     for op, label in _center_catalog(region, grid):
         if len(selected_ops) == dim:
             break
-        if any(commutator_scalar(op, g) != 0 for g in gens.generators):
+        if not in_center_span(op, region, grid):
             raise AssertionError(f"catalog element {label} is not central")
-        if span.try_insert(_operator_row(op, coords)):
+        if span.try_insert(_operator_row(op, p_index)):
             selected_ops.append(op)
             selected_labels.append(label)
     if len(selected_ops) != dim:
         raise AssertionError(
             f"catalog spans {len(selected_ops)} of {dim} center dimensions"
         )
-    # ... and every catalog pick must already lie in the exact nullspace,
-    # so equal dimension means equal span
-    if not all(in_center_span(op, region, grid) for op in selected_ops):
-        raise AssertionError("catalog span differs from the exact center")
     return GeneratorSet(selected_ops, selected_labels)
 
 
 def center_dimension(region: Region, grid: GridSpec) -> int:
-    """Dimension of the center from the exact pairing nullspace alone."""
+    """Dimension of the center, ``2M^2 - (M-2)^2``: region p components
+    minus independent interior crosses."""
     return _center_nullspace_cached(region, grid)[0]
 
 
 def in_center_span(op: LinearOperator, region: Region, grid: GridSpec) -> bool:
-    """Exact membership test of ``op`` in the computed center."""
-    _dim, null_rows, pivots, coords, _gens = _center_nullspace_cached(region, grid)
-    if op.scalar != 0:
-        return False
-    for kind, coeffs in (("q", op.q_coeffs), ("p", op.p_coeffs)):
-        if any((kind, key) not in coords for key in coeffs):
-            return False
-    row = _operator_row(op, coords)
-    return all(x == 0 for x in _reduce_against(row, null_rows, pivots))
+    """Exact membership test of ``op`` in the center: no scalar, no q
+    part, p support inside the region, and commuting with every interior
+    magnetic cross."""
+    _dim, crosses, p_index = _center_nullspace_cached(region, grid)
+    return (
+        op.scalar == 0
+        and not op.q_coeffs
+        and all(("p", key) in p_index for key in op.p_coeffs)
+        and all(commutator_scalar(op, b) == 0 for b in crosses)
+    )
 
 
 def sector_label(

@@ -68,6 +68,8 @@ def _parse_sites(text: str, sep: str) -> list[tuple[int, int]]:
             raise UsageError(f"bad site {chunk!r}, expected i,j") from exc
     if not out:
         raise UsageError(f"no sites in {text!r}")
+    if len(set(out)) != len(out):
+        raise UsageError(f"duplicate sites in {text!r}")
     return out
 
 

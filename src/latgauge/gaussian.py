@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import GridSpec, ScalarField, VectorField, divergence
-from .spectral import KernelTable, wave_number_table
+from .spectral import KernelTable, _mode_weights, wave_number_table
 
 __all__ = [
     "NonNeutralWarning",
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 CONSTRAINT_TOL = 1e-8
-_ZERO_MODE_TOL = 1e-12
 
 
 class NonNeutralWarning(UserWarning):
@@ -61,9 +60,9 @@ def solvable_charge_part(rho: ScalarField) -> ScalarField:
     grid = rho.grid
     if grid.n % 2:
         return ScalarField(grid, rho.values - rho.values.mean())
-    _, _, kabs = wave_number_table(grid)
+    *_, nonzero = _mode_weights(grid)
     rho_t = np.fft.fft2(rho.values)
-    rho_t[kabs <= _ZERO_MODE_TOL / grid.spacing] = 0.0
+    rho_t[~nonzero] = 0.0
     return ScalarField(grid, np.real(np.fft.ifft2(rho_t)))
 
 
@@ -158,10 +157,9 @@ def coulomb_momentum(rho: ScalarField, kernels: KernelTable) -> VectorField:
     grid = kernels.grid
     if rho.grid != grid:
         raise ValueError("rho must live on the kernel grid")
-    kx, ky, kabs = wave_number_table(grid)
+    kx, ky, _, inv_k2, nonzero = _mode_weights(grid)
     rho_t = np.fft.fft2(rho.values)
-    excluded = kabs <= _ZERO_MODE_TOL / grid.spacing
-    if np.max(np.abs(rho_t[excluded])) > 1e-12 * max(1.0, np.max(np.abs(rho_t))):
+    if np.max(np.abs(rho_t[~nonzero])) > 1e-12 * max(1.0, np.max(np.abs(rho_t))):
         warnings.warn(
             NonNeutralWarning(
                 "charge density has components on the excluded zero modes "
@@ -170,8 +168,6 @@ def coulomb_momentum(rho: ScalarField, kernels: KernelTable) -> VectorField:
             ),
             stacklevel=2,
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_k2 = np.where(kabs > 0, 1.0 / np.where(kabs > 0, kabs, 1.0) ** 2, 0.0)
     px = np.real(np.fft.ifft2(1j * kx * rho_t * inv_k2))
     py = np.real(np.fft.ifft2(1j * ky * rho_t * inv_k2))
     return VectorField.from_arrays(grid, px, py)

@@ -51,7 +51,13 @@ class MatterConfig:
 
     @classmethod
     def from_sites(cls, grid: GridSpec, sites) -> "MatterConfig":
-        return cls(grid, frozenset((int(i), int(j)) for i, j in sites))
+        """Configuration with one charge at each listed site; a site
+        listed twice is an error, not a merged charge."""
+        sites = [(int(i), int(j)) for i, j in sites]
+        occupied = frozenset(sites)
+        if len(occupied) != len(sites):
+            raise ValueError(f"duplicate charge sites in {sites}")
+        return cls(grid, occupied)
 
     @classmethod
     def empty(cls, grid: GridSpec) -> "MatterConfig":

@@ -162,7 +162,6 @@ class KernelTable:
     grid: GridSpec
     g_values: np.ndarray
     d_values: np.ndarray
-    zero_mode_policy: str = "exclude"
 
     def g(self, di: int, dj: int) -> float:
         i, j = self.grid.wrap(di, dj)
@@ -181,14 +180,16 @@ class KernelTable:
         return ScalarField(self.grid, self.d_values.copy())
 
 
-def _mode_weights(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    _, _, kabs = wave_number_table(grid)
+def _mode_weights(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Wave numbers and zero-mode-excluded weights over all modes:
+    ``(kx, ky, 1/|k|, 1/|k|^2, kept)``, where ``kept`` masks the modes
+    with |k| > 0. The one place that decides which modes are excluded."""
+    kx, ky, kabs = wave_number_table(grid)
     nonzero = kabs > _ZERO_TOL / grid.spacing
-    inv_k = np.zeros_like(kabs)
-    inv_k2 = np.zeros_like(kabs)
-    inv_k[nonzero] = 1.0 / kabs[nonzero]
-    inv_k2[nonzero] = 1.0 / kabs[nonzero] ** 2
-    return inv_k, inv_k2, nonzero
+    safe = np.where(nonzero, kabs, 1.0)
+    inv_k = np.where(nonzero, 1.0 / safe, 0.0)
+    inv_k2 = np.where(nonzero, 1.0 / safe**2, 0.0)
+    return kx, ky, inv_k, inv_k2, nonzero
 
 
 def build_kernels(grid: GridSpec, method: str = "fft") -> KernelTable:
@@ -199,7 +200,7 @@ def build_kernels(grid: GridSpec, method: str = "fft") -> KernelTable:
     direct path performs the defining summation and is kept as the test
     oracle. Excluded-mode count is asserted on every build.
     """
-    inv_k, inv_k2, nonzero = _mode_weights(grid)
+    _, _, inv_k, inv_k2, nonzero = _mode_weights(grid)
     n = grid.n
     excluded = n * n - int(np.count_nonzero(nonzero))
     if excluded != zero_mode_count(grid):
@@ -278,14 +279,17 @@ def load_kernels(path) -> KernelTable:
 
 def load_or_build_kernels(grid: GridSpec, cache_dir=None) -> KernelTable:
     """Fetch the kernel table from the cache directory, rebuilding (and
-    rewriting) transparently when the file is missing or corrupted."""
+    rewriting) transparently when the file is missing, corrupted, or
+    holds a table for another grid."""
     if cache_dir is None:
         return build_kernels(grid)
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, _cache_key(grid))
     if os.path.exists(path):
         try:
-            return load_kernels(path)
+            table = load_kernels(path)
+            if table.grid == grid:
+                return table
         except (ValueError, AssertionError):
             pass  # corrupted cache: fall through and rebuild
     table = build_kernels(grid)

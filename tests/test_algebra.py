@@ -8,6 +8,7 @@ import pytest
 
 from latgauge.algebra import (
     GeneratorSet,
+    LinearOperator,
     Region,
     b_operator,
     center_basis,
@@ -22,6 +23,12 @@ from latgauge.algebra import (
     p_op,
     q_op,
     sector_label,
+)
+from latgauge.algebra import (
+    _coordinate_index,
+    _IncrementalRref,
+    _nullspace,
+    _operator_row,
 )
 from latgauge.gaussian import NonNeutralWarning, coulomb_momentum
 from latgauge.grid import GridSpec, ScalarField
@@ -144,8 +151,6 @@ class TestNullspace:
                 vec[index[key]] = val
             return vec
 
-        from latgauge.algebra import _IncrementalRref
-
         for center in centers:
             b = b_operator(grid, center)
             tracker = _IncrementalRref(len(coords))
@@ -245,6 +250,37 @@ class TestCenter:
         assert len(basis.generators) == 2 * m * m - (m - 2) ** 2
 
 
+class TestCenterOracle:
+    """The literal computation the block argument replaces: the nullspace
+    of the whole generator pairing, read back as operators."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_full_pairing_nullspace_matches(self, m):
+        grid = GridSpec(m + 4, 1.0)
+        region = Region.square((2, 2), m)
+        gens = local_generators(region, grid).generators
+        pairing = [[commutator_scalar(gi, gk) for gk in gens] for gi in gens]
+        null = _nullspace(pairing, len(gens))
+        assert len(null) == center_dimension(region, grid) == 2 * m * m - (m - 2) ** 2
+        oracle = [
+            sum((c * g for c, g in zip(vec, gens) if c != 0), LinearOperator())
+            for vec in null
+        ]
+        assert all(in_center_span(z, region, grid) for z in oracle)
+
+        coords = _coordinate_index(gens)
+        span = _IncrementalRref(len(coords))
+        for z in oracle:
+            assert span.try_insert(_operator_row(z, coords))
+        basis = center_basis(region, grid).generators
+        assert all(span.contains(_operator_row(z, coords)) for z in basis)
+
+        # a central p combination plus a magnetic cross is not central
+        mixed = basis[0] + b_operator(grid, region.stencil_interior_sites()[0])
+        assert not span.contains(_operator_row(mixed, coords))
+        assert not in_center_span(mixed, region, grid)
+
+
 class TestSectorLabel:
     def test_vacuum_labels_vanish(self):
         grid = GridSpec(11, 1.0)
@@ -315,8 +351,6 @@ class TestRendering:
         assert "q_y[4,5]" in text and "(-1/2)" in text and "(1/2)" in text
 
     def test_scalar_only(self):
-        from latgauge.algebra import LinearOperator
-
         assert str(LinearOperator(scalar=Fraction(3, 4))) == "(3/4)"
 
 

@@ -115,6 +115,16 @@ class TestCoulombCommand:
         )
         assert code == 2
 
+    def test_duplicate_charges_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        code = run(
+            ["coulomb", "--n", "15", "--charges", "1,1;1,1", "--out", str(out)],
+            tmp_path,
+        )
+        assert code == 2
+        assert "duplicate" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFmeCommand:
     def test_single_row(self, tmp_path):

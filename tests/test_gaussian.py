@@ -156,6 +156,21 @@ class TestCoulombMomentum:
             warnings.simplefilter("error", NonNeutralWarning)
             coulomb_momentum(neutral_random_charges(grid, 5), kernels)
 
+    @pytest.mark.parametrize("n", [30, 100, 101])
+    def test_field_energy_equals_coulomb_shift(self, n):
+        # the background and D exclude the same modes, so its field
+        # energy is the sector energy; on even N the doubler modes used
+        # to leak in with weight ~1e31
+        grid = GridSpec(n, 1.0)
+        kernels = build_kernels(grid)
+        rho = two_charges(grid, (n // 2, n // 3), (n // 2, 2 * n // 3))
+        with pytest.warns(NonNeutralWarning):
+            p = coulomb_momentum(rho, kernels)
+        field_energy = 0.5 * float(np.sum(p.x.values**2 + p.y.values**2))
+        assert field_energy == pytest.approx(
+            coulomb_energy_shift(rho, kernels), abs=1e-12
+        )
+
     def test_even_lattice_solves_up_to_doubler_modes(self):
         # an even lattice excludes four modes; the background matches rho
         # on everything else

@@ -59,6 +59,10 @@ class TestDensity:
         with pytest.raises(ValueError):
             MatterConfig.from_sites(GridSpec(5, 1.0), [(5, 0)])
 
+    def test_duplicate_site_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            MatterConfig.from_sites(GridSpec(5, 1.0), [(1, 1), (1, 1)])
+
 
 class TestApplyLadder:
     def test_two_site_move(self):

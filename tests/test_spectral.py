@@ -215,3 +215,14 @@ class TestKernelCache:
         np.testing.assert_array_equal(rebuilt.g_values, first.g_values)
         # the rebuilt table was written back out
         assert load_kernels(cache_files[0]).grid == grid
+
+    def test_load_or_build_rejects_table_for_another_grid(self, tmp_path):
+        grid = GridSpec(101, 1.0)
+        load_or_build_kernels(grid, tmp_path)
+        (cache_file,) = tmp_path.iterdir()
+        save_kernels(build_kernels(GridSpec(51, 1.0)), cache_file)
+        table = load_or_build_kernels(grid, tmp_path)
+        assert table.grid == grid
+        np.testing.assert_array_equal(table.d_values, build_kernels(grid).d_values)
+        # the right table was written back under the key
+        assert load_kernels(cache_file).grid == grid
