@@ -6,7 +6,9 @@ magnetic operator.
 All coefficients are exact rationals; stencil factors 1/(2a) embed
 exactly because binary floats are rationals. Commutators of field-linear
 operators are always scalars, so gauge invariance reduces to an exact
-nullspace computation.
+nullspace computation. All exact elimination (generator independence,
+gauge-invariant nullspaces and the center label pick) is one sparse,
+incremental reduced row echelon form.
 
 Centers need no elimination. A square region's algebra is generated by
 its p components and its interior magnetic crosses b; p-p and b-b
@@ -324,27 +326,8 @@ class GeneratorSet:
     def __post_init__(self):
         if self.labels and len(self.labels) != len(self.generators):
             raise ValueError("labels must parallel generators")
-        # singleton unit operators on distinct coordinates (the plain p
-        # and q generators) are independent by inspection; eliminate only
-        # the rest, unless some composite touches a singleton coordinate
-        singleton_coords = set()
-        rest = []
-        for g in self.generators:
-            entries = [("q", k) for k in g.q_coeffs] + [("p", k) for k in g.p_coeffs]
-            if g.scalar == 0 and len(entries) == 1:
-                if entries[0] in singleton_coords:
-                    raise ValueError("generators are linearly dependent")
-                singleton_coords.add(entries[0])
-            else:
-                rest.append(g)
-        overlap = any(
-            ("q", k) in singleton_coords for g in rest for k in g.q_coeffs
-        ) or any(("p", k) in singleton_coords for g in rest for k in g.p_coeffs)
-        if overlap:
-            rest = list(self.generators)
-        coords = _coordinate_index(rest)
-        rows = [_operator_row(g, coords) for g in rest]
-        if _rank(rows) != len(rest):
+        span = _SparseRref()
+        if not all(span.insert(_row(g)) for g in self.generators):
             raise ValueError("generators are linearly dependent")
 
     def __len__(self):
@@ -354,105 +337,79 @@ class GeneratorSet:
 # ---------------------------------------------------------------------------
 # exact linear algebra over Fractions
 
-def _coordinate_index(ops) -> dict[tuple[str, Coord], int]:
-    coords = sorted(
-        {("q", c) for op in ops for c in op.q_coeffs}
-        | {("p", c) for op in ops for c in op.p_coeffs}
-    )
-    return {c: i for i, c in enumerate(coords)}
-
-
-def _operator_row(op: LinearOperator, coords) -> list[Fraction]:
-    row = [Fraction(0)] * len(coords)
-    for c, v in op.q_coeffs.items():
-        row[coords[("q", c)]] = v
-    for c, v in op.p_coeffs.items():
-        row[coords[("p", c)]] = v
+def _row(op: LinearOperator) -> dict:
+    """Sparse row of an operator's q and p coefficients, keyed
+    ``("q", coord)`` and ``("p", coord)``; the scalar is not a column."""
+    row = {("q", c): v for c, v in op.q_coeffs.items()}
+    row.update({("p", c): v for c, v in op.p_coeffs.items()})
     return row
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+def _subtract_multiple(row: dict, factor: Fraction, other: dict) -> None:
+    """``row -= factor * other`` in place, dropping entries that vanish."""
+    for c, v in other.items():
+        new = row.get(c, 0) - factor * v
+        if new:
+            row[c] = new
+        else:
+            del row[c]
 
 
-def _rank(rows) -> int:
-    reduced, _ = _rref([list(r) for r in rows])
-    return len(reduced)
+class _SparseRref:
+    """Reduced row echelon form grown one sparse row at a time.
 
+    A row is a dict ``{column: Fraction}`` that never holds a zero;
+    columns are any mutually ordered keys. ``rows`` maps each pivot
+    column to its row, which is 1 there and 0 at every other pivot. Each
+    pivot is the smallest column of its row, so after any sequence of
+    inserts the rows are the unique RREF of their span.
+    """
 
-def _reduce_against(row, reduced_rows, pivots):
-    """Residue of ``row`` after elimination against rows already in
-    reduced echelon form (parallel ``pivots`` list of their columns)."""
-    out = list(row)
-    for r, pc in zip(reduced_rows, pivots):
-        factor = out[pc]
-        if factor != 0:
-            out = [x - factor * y for x, y in zip(out, r)]
-    return out
+    def __init__(self):
+        self.rows: dict = {}
 
+    def reduce(self, row: dict) -> dict:
+        """Residue of ``row`` after elimination against the current rows."""
+        out = {c: Fraction(v) for c, v in row.items() if v != 0}
+        # pivot rows vanish at each other's pivots, so the factors are
+        # the entries the row has on entry
+        for pc in [c for c in out if c in self.rows]:
+            _subtract_multiple(out, out[pc], self.rows[pc])
+        return out
 
-class _IncrementalRref:
-    """Grow a reduced echelon basis one row at a time."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    def try_insert(self, row) -> bool:
-        """Insert if independent of the current span; returns whether the
-        rank grew."""
-        residue = _reduce_against(row, self.rows, self.pivots)
-        pivot_col = next((c for c, x in enumerate(residue) if x != 0), None)
-        if pivot_col is None:
+    def insert(self, row: dict) -> bool:
+        """Add ``row`` to the span; returns whether the rank grew."""
+        residue = self.reduce(row)
+        if not residue:
             return False
-        inv = residue[pivot_col]
-        residue = [x / inv for x in residue]
-        for k in range(len(self.rows)):
-            f = self.rows[k][pivot_col]
-            if f != 0:
-                self.rows[k] = [x - f * y for x, y in zip(self.rows[k], residue)]
-        self.rows.append(residue)
-        self.pivots.append(pivot_col)
+        pc = min(residue)
+        inv = residue[pc]
+        residue = {c: v / inv for c, v in residue.items()}
+        for other in self.rows.values():
+            f = other.get(pc)
+            if f is not None:
+                _subtract_multiple(other, f, residue)
+        self.rows[pc] = residue
         return True
 
-    def contains(self, row) -> bool:
-        return all(x == 0 for x in _reduce_against(row, self.rows, self.pivots))
+    def contains(self, row: dict) -> bool:
+        return not self.reduce(row)
 
 
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : rows @ x = 0} in reduced echelon form with a
-    deterministic pivot order (one basis vector per free column)."""
-    reduced, pivots = _rref([list(r) for r in rows])
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def _nullspace(rows, columns) -> list[dict]:
+    """Basis of {x : rows @ x = 0} over ``columns``, read off the RREF:
+    one sparse vector per free column, in increasing column order."""
+    span = _SparseRref()
+    for row in rows:
+        span.insert(row)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
+    for fc in sorted(columns):
+        if fc in span.rows:
+            continue
+        vec = {fc: Fraction(1)}
+        for pc, r in span.rows.items():
+            if fc in r:
+                vec[pc] = -r[fc]
         basis.append(vec)
     return basis
 
@@ -463,7 +420,7 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
 def _support_sites(support) -> list[Site]:
     if isinstance(support, Region):
         return support.sites()
-    return sorted(tuple(s) for s in support)
+    return sorted({tuple(s) for s in support})
 
 
 def gauge_invariant_nullspace(support, grid: GridSpec) -> list[LinearOperator]:
@@ -479,35 +436,18 @@ def gauge_invariant_nullspace(support, grid: GridSpec) -> list[LinearOperator]:
     sites = _support_sites(support)
     if isinstance(support, Region):
         support.validate_on(grid)
-    coords: list[Coord] = [(s, c) for s in sites for c in _COMPONENTS]
-    index = {c: i for i, c in enumerate(coords)}
+    coords = {(s, c) for s in sites for c in _COMPONENTS}
     # conditions: [f(q), cross(n, m)] = 0; only crosses touching the
     # support produce nonzero rows
     cross_sites = set()
     for (i, j) in sites:
         for di, dj in ((0, 1), (0, -1), (1, 0), (-1, 0)):
             cross_sites.add(grid.wrap(i + di, j + dj))
-    rows = []
-    for cs in sorted(cross_sites):
-        cross = constraint_operator(grid, cs)
-        row = [Fraction(0)] * len(coords)
-        nonzero = False
-        for key, coeff in cross.p_coeffs.items():
-            col = index.get(key)
-            if col is not None:
-                row[col] = coeff
-                nonzero = True
-        if nonzero:
-            rows.append(row)
-    basis = _nullspace(rows, len(coords))
-    ops = []
-    for vec in basis:
-        ops.append(
-            LinearOperator(
-                q_coeffs={coords[i]: v for i, v in enumerate(vec) if v != 0}
-            )
-        )
-    return ops
+    rows = [
+        {k: v for k, v in constraint_operator(grid, cs).p_coeffs.items() if k in coords}
+        for cs in sorted(cross_sites)
+    ]
+    return [LinearOperator(q_coeffs=vec) for vec in _nullspace(rows, coords)]
 
 
 # ---------------------------------------------------------------------------
@@ -570,15 +510,15 @@ def _center_catalog(region: Region, grid: GridSpec) -> list[tuple[LinearOperator
 
 def _center_nullspace(region: Region, grid: GridSpec):
     """Center data read off the block structure of the pairing; returns
-    (dimension, interior magnetic crosses, index of the region's p
-    coordinates). ``local_generators`` has already proved the crosses
-    independent, so no elimination is needed here."""
+    (dimension, interior magnetic crosses, the region's p coordinates).
+    ``local_generators`` has already proved the crosses independent, so
+    no elimination is needed here."""
     gens = local_generators(region, grid)
     crosses = [
         g for g, label in zip(gens.generators, gens.labels) if label.kind == "B"
     ]
-    p_coords = [("p", key) for g in gens.generators for key in g.p_coeffs]
-    return len(p_coords) - len(crosses), crosses, {c: i for i, c in enumerate(p_coords)}
+    p_coords = {key for g in gens.generators for key in g.p_coeffs}
+    return len(p_coords) - len(crosses), crosses, p_coords
 
 
 _NULLSPACE_CACHE: dict = {}
@@ -601,17 +541,17 @@ def center_basis(region: Region, grid: GridSpec) -> GeneratorSet:
     basis is the deterministic greedy selection of catalog elements
     spanning it, each checked central by ``in_center_span``.
     """
-    dim, _crosses, p_index = _center_nullspace_cached(region, grid)
+    dim = center_dimension(region, grid)
 
     selected_ops: list[LinearOperator] = []
     selected_labels: list[Label] = []
-    span = _IncrementalRref(len(p_index))
+    span = _SparseRref()
     for op, label in _center_catalog(region, grid):
         if len(selected_ops) == dim:
             break
         if not in_center_span(op, region, grid):
             raise AssertionError(f"catalog element {label} is not central")
-        if span.try_insert(_operator_row(op, p_index)):
+        if span.insert(_row(op)):
             selected_ops.append(op)
             selected_labels.append(label)
     if len(selected_ops) != dim:
@@ -631,11 +571,11 @@ def in_center_span(op: LinearOperator, region: Region, grid: GridSpec) -> bool:
     """Exact membership test of ``op`` in the center: no scalar, no q
     part, p support inside the region, and commuting with every interior
     magnetic cross."""
-    _dim, crosses, p_index = _center_nullspace_cached(region, grid)
+    _dim, crosses, p_coords = _center_nullspace_cached(region, grid)
     return (
         op.scalar == 0
         and not op.q_coeffs
-        and all(("p", key) in p_index for key in op.p_coeffs)
+        and p_coords.issuperset(op.p_coeffs)
         and all(commutator_scalar(op, b) == 0 for b in crosses)
     )
 

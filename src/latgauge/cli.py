@@ -187,18 +187,19 @@ def _cmd_dynamics(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     state = PhaseSpaceState.random(grid, rng)
     source = SourceConfig.vacuum(grid)
-    with open(p["out"], "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t,H,max_constraint_residual\n")
-        fh.write(
+
+    def csv_row(state: PhaseSpaceState) -> str:
+        return (
             f"{_float_csv(state.time)},{_float_csv(energy(state, source))},"
             f"{_float_csv(constraint_residual(state, source).max_abs())}\n"
         )
+
+    with open(p["out"], "w", encoding="ascii", newline="\n") as fh:
+        fh.write("t,H,max_constraint_residual\n")
+        fh.write(csv_row(state))
         for _ in range(p["steps"]):
             state = step_leapfrog(state, source, p["dt"], 1, energy_check=False)
-            fh.write(
-                f"{_float_csv(state.time)},{_float_csv(energy(state, source))},"
-                f"{_float_csv(constraint_residual(state, source).max_abs())}\n"
-            )
+            fh.write(csv_row(state))
     return 0
 
 

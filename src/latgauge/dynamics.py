@@ -160,7 +160,6 @@ def step_leapfrog(
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    h0 = energy(state, source)
     qx = state.q.x.values.copy()
     qy = state.q.y.values.copy()
     px = state.p.x.values.copy()
@@ -192,7 +191,7 @@ def step_leapfrog(
         time=state.time + dt * n_steps,
     )
     if energy_check:
-        h1 = energy(out, source)
+        h0, h1 = energy(state, source), energy(out, source)
         if abs(h1 - h0) > 0.01 * max(abs(h0), 1e-30):
             raise UnstableStep(
                 f"energy drifted from {h0:.6e} to {h1:.6e} over {n_steps} steps"

@@ -126,13 +126,15 @@ class ScalarField:
                 raise ValueError(f"bad CSV header {header!r}")
             n_str, a_str = fh.readline().strip().split(",")
             grid = GridSpec(int(n_str), float(a_str))
-            values = np.zeros(grid.shape)
+            rows = []
             for line in fh:
                 if not line.strip():
                     continue
-                i_str, j_str, v_str = line.strip().split(",")
-                values[int(i_str), int(j_str)] = float(v_str)
-        return cls(grid, values)
+                fields = line.strip().split(",")
+                if len(fields) != 3:
+                    raise ValueError(f"bad CSV row {line.strip()!r}, expected i,j,value")
+                rows.append((int(fields[0]), int(fields[1]), float(fields[2])))
+        return cls(grid, _values_from_rows(grid, rows))
 
     def to_json(self, path) -> None:
         """JSON mirror of the CSV schema; floats round-trip bit-exactly."""
@@ -152,10 +154,28 @@ class ScalarField:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
         grid = GridSpec(int(doc["N"]), float(doc["a"]))
-        values = np.zeros(grid.shape)
-        for i, j, v in doc["values"]:
-            values[i, j] = v
-        return cls(grid, values)
+        return cls(grid, _values_from_rows(grid, doc["values"]))
+
+
+def _values_from_rows(grid: GridSpec, rows) -> np.ndarray:
+    """Dense values from ``(i, j, value)`` rows that name every site of
+    the grid exactly once with a number; anything else raises
+    ``ValueError``."""
+    n = grid.n
+    if len(rows) != n * n:
+        raise ValueError(f"expected {n * n} rows for N={n}, got {len(rows)}")
+    values = np.zeros(grid.shape)
+    seen = set()
+    for i, j, v in rows:
+        if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
+            raise ValueError(f"site ({i!r}, {j!r}) is not a site of the {n}x{n} grid")
+        if (i, j) in seen:
+            raise ValueError(f"site ({i}, {j}) appears twice")
+        if type(v) not in (int, float):
+            raise ValueError(f"value {v!r} at site ({i}, {j}) is not a number")
+        seen.add((i, j))
+        values[i, j] = v
+    return values
 
 
 class VectorField:

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latgauge.algebra import (
     GeneratorSet,
+    Label,
     LinearOperator,
     Region,
     b_operator,
@@ -24,12 +27,7 @@ from latgauge.algebra import (
     q_op,
     sector_label,
 )
-from latgauge.algebra import (
-    _coordinate_index,
-    _IncrementalRref,
-    _nullspace,
-    _operator_row,
-)
+from latgauge.algebra import _center_catalog, _nullspace, _row, _SparseRref
 from latgauge.gaussian import NonNeutralWarning, coulomb_momentum
 from latgauge.grid import GridSpec, ScalarField
 from latgauge.matter import MatterConfig, density
@@ -142,21 +140,19 @@ class TestNullspace:
         span = GeneratorSet(basis)  # just to assert independence
         assert len(span) == 9  # (5-2)^2 crosses fit the 5x5 block
         centers = [(4, 5), (4, 3), (5, 4), (3, 4)]
-        coords = sorted({k for op in basis for k in op.q_coeffs})
-        index = {c: i for i, c in enumerate(coords)}
-
-        def to_vec(op):
-            vec = [Fraction(0)] * len(coords)
-            for key, val in op.q_coeffs.items():
-                vec[index[key]] = val
-            return vec
-
         for center in centers:
             b = b_operator(grid, center)
-            tracker = _IncrementalRref(len(coords))
+            tracker = _SparseRref()
             for op in basis:
-                tracker.try_insert(to_vec(op))
-            assert tracker.contains(to_vec(b))
+                tracker.insert(_row(op))
+            assert tracker.contains(_row(b))
+
+    def test_repeated_support_site_counts_once(self):
+        grid = GridSpec(9, 1.0)
+        support = [(5, 4), (3, 4), (4, 5), (4, 3)]
+        assert gauge_invariant_nullspace(support + [(5, 4)], grid) == (
+            gauge_invariant_nullspace(support, grid)
+        )
 
 
 class TestLocalGenerators:
@@ -259,26 +255,155 @@ class TestCenterOracle:
         grid = GridSpec(m + 4, 1.0)
         region = Region.square((2, 2), m)
         gens = local_generators(region, grid).generators
-        pairing = [[commutator_scalar(gi, gk) for gk in gens] for gi in gens]
-        null = _nullspace(pairing, len(gens))
+        pairing = [
+            {k: commutator_scalar(gi, gk) for k, gk in enumerate(gens)} for gi in gens
+        ]
+        null = _nullspace(pairing, range(len(gens)))
         assert len(null) == center_dimension(region, grid) == 2 * m * m - (m - 2) ** 2
         oracle = [
-            sum((c * g for c, g in zip(vec, gens) if c != 0), LinearOperator())
-            for vec in null
+            sum((c * gens[k] for k, c in vec.items()), LinearOperator()) for vec in null
         ]
         assert all(in_center_span(z, region, grid) for z in oracle)
 
-        coords = _coordinate_index(gens)
-        span = _IncrementalRref(len(coords))
+        span = _SparseRref()
         for z in oracle:
-            assert span.try_insert(_operator_row(z, coords))
+            assert span.insert(_row(z))
         basis = center_basis(region, grid).generators
-        assert all(span.contains(_operator_row(z, coords)) for z in basis)
+        assert all(span.contains(_row(z)) for z in basis)
 
         # a central p combination plus a magnetic cross is not central
         mixed = basis[0] + b_operator(grid, region.stencil_interior_sites()[0])
-        assert not span.contains(_operator_row(mixed, coords))
+        assert not span.contains(_row(mixed))
         assert not in_center_span(mixed, region, grid)
+
+
+class TestCenterLabels:
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_catalog_kept_but_four_bottom_corner_entries(self, m):
+        # pins the greedy label pick that `latgauge algebra --dump` prints
+        grid = GridSpec(m + 4, 1.0)
+        region = Region.square((2, 2), m)
+        kept = set(center_basis(region, grid).labels)
+        dropped = [label for _, label in _center_catalog(region, grid) if label not in kept]
+        bottom = 2 + m - 1
+        left, right = 2, 2 + m - 1
+        if m % 2 == 0:
+            expected = [
+                Label("CORNER", (bottom, left), "x"),
+                Label("CORNER", (bottom, left), "y"),
+                Label("CORNER", (bottom, right), "x"),
+                Label("CORNER", (bottom, right), "y"),
+            ]
+        else:
+            expected = [
+                Label("EDGE", (bottom, right), "cross"),
+                Label("EDGE", (bottom, right - 1), "normal-py"),
+                Label("CORNER", (bottom, right), "x"),
+                Label("CORNER", (bottom, right), "y"),
+            ]
+        assert dropped == expected
+
+
+def _dense_rref(rows):
+    """Textbook dense RREF over Fractions: (reduced rows, pivot columns)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    if not rows:
+        return rows, []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        piv = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c] != 0:
+                f = rows[k][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _dense_rank(rows):
+    return len(_dense_rref(rows)[0])
+
+
+def _dense_nullspace(rows, ncols):
+    reduced, pivots = _dense_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def _sparse(row):
+    return {c: x for c, x in enumerate(row) if x != 0}
+
+
+def _dense(vec, ncols):
+    return [vec.get(c, Fraction(0)) for c in range(ncols)]
+
+
+_SMALL = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Small rational matrices rich in zeros, zero rows, repeated rows and
+    rows that combine others, plus one probe row of the same width."""
+    ncols = draw(st.integers(1, 6))
+    vector = st.lists(_SMALL, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(vector, max_size=5))
+    if draw(st.booleans()):
+        rows.append([Fraction(0)] * ncols)
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        lam = draw(_SMALL)
+        rows.append([lam * x + y for x, y in zip(a, b)])
+    rows = draw(st.permutations(rows))
+    if rows and draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        probe = [x - 2 * y for x, y in zip(a, b)]
+    else:
+        probe = draw(vector)
+    return ncols, rows, probe
+
+
+class TestSparseRref:
+    """The sparse eliminator against the dense textbook RREF."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rational_matrices())
+    def test_matches_dense_rref(self, case):
+        ncols, rows, probe = case
+        span = _SparseRref()
+        for k, row in enumerate(rows):
+            grew = _dense_rank(rows[: k + 1]) > _dense_rank(rows[:k])
+            assert span.insert(dict(enumerate(row))) == grew  # zeros included
+        reduced, pivots = _dense_rref(rows)
+        assert len(span.rows) == len(reduced)
+        assert sorted(span.rows) == pivots
+        for r, pc in zip(reduced, pivots):
+            assert _dense(span.rows[pc], ncols) == r
+        assert all(0 not in r.values() for r in span.rows.values())
+        in_span = _dense_rank(rows + [probe]) == len(reduced)
+        assert span.contains(dict(enumerate(probe))) == in_span
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rational_matrices())
+    def test_nullspace_matches_dense(self, case):
+        ncols, rows, _probe = case
+        null = _nullspace([_sparse(r) for r in rows], range(ncols))
+        assert [_dense(v, ncols) for v in null] == _dense_nullspace(rows, ncols)
 
 
 class TestSectorLabel:
@@ -364,3 +489,14 @@ class TestGeneratorSet:
     def test_rejects_duplicate_singletons(self):
         with pytest.raises(ValueError):
             GeneratorSet([p_op((1, 1), "x"), p_op((1, 1), "x")])
+
+    def test_rejects_composite_over_singletons(self):
+        a, b = p_op((1, 1), "x"), p_op((2, 3), "y")
+        assert len(GeneratorSet([a, a + b])) == 2
+        for gens in ([a, b, a + b], [a + b, b, a], [a, b, a - 2 * b]):
+            with pytest.raises(ValueError):
+                GeneratorSet(gens)
+
+    def test_rejects_zero_and_scalar_generators(self):
+        with pytest.raises(ValueError):
+            GeneratorSet([p_op((1, 1), "x"), LinearOperator(scalar=3)])

@@ -175,6 +175,18 @@ class TestLeapfrog:
             # far beyond the sqrt(2) stability limit
             step_leapfrog(state, SourceConfig.vacuum(grid), 2.0, 200)
 
+    def test_energy_evaluated_only_for_the_check(self, monkeypatch):
+        import latgauge.dynamics as dynamics
+
+        calls = []
+        monkeypatch.setattr(dynamics, "energy", lambda *a: calls.append(a) or 1.0)
+        grid = GridSpec(8, 1.0)
+        state, source = random_state(grid), SourceConfig.vacuum(grid)
+        step_leapfrog(state, source, 0.05, 3, energy_check=False)
+        assert calls == []
+        step_leapfrog(state, source, 0.05, 3)
+        assert len(calls) == 2
+
     def test_rejects_bad_dt(self):
         grid = GridSpec(5, 1.0)
         with pytest.raises(ValueError):

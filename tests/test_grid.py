@@ -1,5 +1,7 @@
 """Discrete calculus identities and field container behavior."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,51 @@ class TestSerialization:
         path = tmp_path / "bad.csv"
         path.write_text("nope\n5,1.0\n")
         with pytest.raises(ValueError):
+            ScalarField.from_csv(path)
+
+    # every site of an N = 3 grid exactly once, then one defect per case
+    ROWS = [(i, j, float(3 * i + j)) for i in range(3) for j in range(3)]
+    MALFORMED = {
+        "missing-row": ROWS[:-1],
+        "extra-row": ROWS + [(2, 2, 9.0)],
+        "repeated-site": ROWS[:-1] + [(0, 0, 9.0)],
+        "negative-index": ROWS[:-1] + [(-1, 2, 9.0)],
+        "index-past-n": ROWS[:-1] + [(3, 2, 9.0)],
+        "non-integer-index": ROWS[:-1] + [(2.0, 2, 9.0)],
+        "null-value": ROWS[:-1] + [(2, 2, None)],
+        "string-value": ROWS[:-1] + [(2, 2, "nine")],
+        "wrapped-and-overwritten": [(0, 0, 1.5), (-1, 0, 2.0), (0, 0, 7.0)],
+    }
+
+    @staticmethod
+    def write_rows(path, fmt, rows):
+        if fmt == "csv":
+            lines = ["N,a", "3,1.0"] + [",".join(str(x) for x in row) for row in rows]
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            path.write_text(json.dumps({"N": 3, "a": 1.0, "values": [list(r) for r in rows]}))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_reader_rejects_malformed_rows(self, tmp_path, fmt, case):
+        path = tmp_path / f"field.{fmt}"
+        self.write_rows(path, fmt, self.MALFORMED[case])
+        reader = ScalarField.from_csv if fmt == "csv" else ScalarField.from_json
+        with pytest.raises(ValueError):
+            reader(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reader_accepts_rows_in_any_order(self, tmp_path, fmt):
+        path = tmp_path / f"field.{fmt}"
+        self.write_rows(path, fmt, self.ROWS[::-1])
+        reader = ScalarField.from_csv if fmt == "csv" else ScalarField.from_json
+        np.testing.assert_array_equal(reader(path).values, np.arange(9.0).reshape(3, 3))
+
+    @pytest.mark.parametrize("bad", [(1, 0), (1, 0, 3.0, 9)], ids=["two-fields", "four-fields"])
+    def test_csv_rejects_row_without_three_fields(self, tmp_path, bad):
+        path = tmp_path / "field.csv"
+        self.write_rows(path, "csv", self.ROWS[:3] + [bad] + self.ROWS[4:])
+        with pytest.raises(ValueError, match="expected i,j,value"):
             ScalarField.from_csv(path)
 
 
