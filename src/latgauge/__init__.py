@@ -27,7 +27,6 @@ from .spectral import (
     FourierField,
     KernelTable,
     NonRealResult,
-    WaveVector,
     build_kernels,
     dft_forward,
     dft_inverse,
@@ -44,7 +43,6 @@ from .dynamics import (
     step_leapfrog,
 )
 from .gaussian import (
-    EnergyReport,
     GaussianFieldState,
     NonNeutralWarning,
     coulomb_energy_shift,
@@ -52,15 +50,11 @@ from .gaussian import (
     displace,
     evolve_phase,
     ground_energy,
-    log_amplitude_p,
 )
 from .matter import (
-    AnnihilatedState,
     MatterConfig,
-    MatterSuperposition,
     apply_ladder,
     density,
-    enumerate_sector,
 )
 from .algebra import (
     GeneratorSet,
@@ -84,7 +78,6 @@ from .fme import (
     ProtocolTrace,
     dressed_move,
     embezzlement_null_test,
-    entanglement_increase,
     run_protocol,
     vn_entropy,
 )

@@ -106,7 +106,7 @@ def criterion_3_ground_energy():
     oracle = 0.0
     for alpha in range(3):
         for beta in range(3):
-            oracle += 0.5 * spectral.wave_vector(grid, alpha, beta).magnitude
+            oracle += 0.5 * np.hypot(*spectral.wave_vector(grid, alpha, beta))
     closed_form = np.sqrt(3.0) * (1.0 + np.sqrt(2.0))
     ok = abs(value - oracle) < 1e-9 and abs(value - closed_form) < 1e-9
     lines = [f"E0(3,1) = {value:.9f}, oracle {oracle:.9f}, closed form {closed_form:.9f}"]

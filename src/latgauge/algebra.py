@@ -117,11 +117,6 @@ class LinearOperator:
             (frozenset(self.q_coeffs.items()), frozenset(self.p_coeffs.items()), self.scalar)
         )
 
-    def support(self) -> set[Site]:
-        return {site for (site, _) in self.q_coeffs} | {
-            site for (site, _) in self.p_coeffs
-        }
-
     def evaluate(self, q_field: VectorField | None = None,
                  p_field: VectorField | None = None) -> float:
         """Apply the operator as a linear functional on classical fields."""

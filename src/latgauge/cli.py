@@ -22,15 +22,22 @@ from .algebra import Region, center_basis
 from .dynamics import (
     PhaseSpaceState,
     SourceConfig,
+    UnstableStep,
     constraint_residual,
     energy,
     step_leapfrog,
 )
-from .fme import ProtocolSpec, embezzlement_null_test, run_protocol
+from .fme import (
+    NotDensityMatrix,
+    NotSeparable,
+    ProtocolSpec,
+    embezzlement_null_test,
+    run_protocol,
+)
 from .gaussian import NonNeutralWarning, coulomb_energy_shift, ground_energy
 from .grid import GridSpec
 from .matter import MatterConfig, density
-from .spectral import load_or_build_kernels
+from .spectral import NonRealResult, load_or_build_kernels
 
 __all__ = ["UsageError", "RunConfig", "parse_args", "main"]
 
@@ -43,7 +50,6 @@ class UsageError(Exception):
 class RunConfig:
     command: str
     params: dict = field(default_factory=dict)
-    out_path: str | None = None
     cache_dir: str | None = None
     seed: int = 0
 
@@ -95,6 +101,8 @@ def _parse_sweep(text: str) -> np.ndarray:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise UsageError(f"bad sweep {text!r}, expected start:stop:step") from exc
+    if not all(np.isfinite((start, stop, step))):
+        raise UsageError(f"bad sweep {text!r}, bounds must be finite")
     if step <= 0 or stop < start:
         raise UsageError(f"bad sweep bounds {text!r}")
     count = int(np.floor((stop - start) / step + 1e-12)) + 1
@@ -165,7 +173,6 @@ def parse_args(argv) -> RunConfig:
     cfg = RunConfig(
         command=ns.command,
         params=params,
-        out_path=params.get("out") or params.get("dump"),
         cache_dir=ns.cache_dir or _default_cache_dir(),
         seed=ns.seed,
     )
@@ -183,6 +190,10 @@ def _float_csv(x: float) -> str:
 
 def _cmd_dynamics(cfg: RunConfig) -> int:
     p = cfg.params
+    if not (np.isfinite(p["dt"]) and p["dt"] > 0):
+        raise UsageError(f"--dt must be finite and positive, got {p['dt']}")
+    if p["steps"] < 0:
+        raise UsageError(f"--steps must be nonnegative, got {p['steps']}")
     grid = GridSpec(p["n"], p["a"])
     rng = np.random.default_rng(cfg.seed)
     state = PhaseSpaceState.random(grid, rng)
@@ -207,8 +218,12 @@ def _cmd_coulomb(cfg: RunConfig) -> int:
     p = cfg.params
     grid = GridSpec(p["n"], p["a"])
     sites = _parse_sites(p["charges"], ";")
+    try:
+        config = MatterConfig.from_sites(grid, sites)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     kernels = load_or_build_kernels(grid, cfg.cache_dir)
-    rho = density(MatterConfig.from_sites(grid, sites))
+    rho = density(config)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonNeutralWarning)
         e_shift = coulomb_energy_shift(rho, kernels)
@@ -364,6 +379,18 @@ def _cmd_selftest(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
+# computational failures: reported in one line with exit code 1
+_FAILURES = (
+    ValueError,
+    OSError,
+    MemoryError,
+    AssertionError,
+    UnstableStep,
+    NotSeparable,
+    NotDensityMatrix,
+    NonRealResult,
+)
+
 _COMMANDS = {
     "dynamics": _cmd_dynamics,
     "coulomb": _cmd_coulomb,
@@ -384,8 +411,8 @@ def main(argv=None) -> int:
         return 2
     except SystemExit as exc:  # argparse errors carry their own code
         return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except _FAILURES as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

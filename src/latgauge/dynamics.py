@@ -24,7 +24,6 @@ __all__ = [
     "step_leapfrog",
     "constraint_residual",
     "gauge_transform",
-    "default_timestep",
 ]
 
 
@@ -90,18 +89,6 @@ class SourceConfig:
         z = ScalarField.zeros(rho.grid)
         return cls(rho, z, z.copy())
 
-    @property
-    def is_static(self) -> bool:
-        return self.jx.max_abs() == 0.0 and self.jy.max_abs() == 0.0
-
-    def continuity_residual(self, rho_dot: ScalarField | None = None) -> ScalarField:
-        """Reports dbar_x(Jx) + dbar_y(Jy) + rho_dot rather than silently
-        assuming it vanishes; rho_dot defaults to zero (static sources)."""
-        res = dbar(self.jx, "x") + dbar(self.jy, "y")
-        if rho_dot is not None:
-            res = res + rho_dot
-        return res
-
 
 def energy(state: PhaseSpaceState, source: SourceConfig) -> float:
     """Hamiltonian in the temporal gauge:
@@ -136,11 +123,6 @@ def eom_rhs(
     return dq, dp
 
 
-def default_timestep(grid: GridSpec) -> float:
-    # max mode frequency is sqrt(2)/a
-    return 0.1 * grid.spacing / np.sqrt(2.0)
-
-
 def step_leapfrog(
     state: PhaseSpaceState,
     source: SourceConfig,
@@ -158,8 +140,10 @@ def step_leapfrog(
         If the final energy differs from the initial energy by more than
         1% of |H0|, the signature of dt exceeding the stability limit.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     qx = state.q.x.values.copy()
     qy = state.q.y.values.copy()
     px = state.p.x.values.copy()

@@ -28,9 +28,9 @@ from .gaussian import (
     wrap_phase,
 )
 from .grid import GridSpec, ScalarField, VectorField
-from .matter import MatterConfig, MatterSuperposition, apply_ladder, density
+from .matter import MatterConfig, apply_ladder, density
 from .algebra import Region
-from .spectral import KernelTable, build_kernels
+from .spectral import KernelTable
 
 __all__ = [
     "NotSeparable",
@@ -44,13 +44,16 @@ __all__ = [
     "run_protocol",
     "vn_entropy",
     "reduced_spin_a",
-    "entanglement_increase",
     "entropy_from_phases",
     "embezzlement_null_test",
 ]
 
 BRANCHES = ("LL", "LR", "RL", "RR")
 SPIN_LABELS = {"LL": "uu", "LR": "ud", "RL": "du", "RR": "dd"}
+# a branch letter's move direction when splitting, and the reverse move
+# that merges it back
+_SPLIT_DIR = {"L": "left", "R": "right"}
+_MERGE_DIR = {"L": "right", "R": "left"}
 
 _CONSTRAINT_TOL = 1e-9
 
@@ -84,15 +87,12 @@ class ProtocolSpec:
     region_a: Region
     region_b: Region
     tau: float = 0.0
-    displacement: int = 2
     gamma: dict = dataclass_field(default_factory=_zero_phases)
     gamma_prime: dict = dataclass_field(default_factory=_zero_phases)
 
     def __post_init__(self):
-        if self.displacement != 2:
-            raise ValueError("the dressing geometry fixes the displacement to 2 sites")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        if not (np.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
         (la, ca), (lb, cb) = self.site_a, self.site_b
         if la != lb:
             raise ValueError("both charges must sit on one row")
@@ -112,10 +112,6 @@ class ProtocolSpec:
         for phases in (self.gamma, self.gamma_prime):
             if set(phases) != set(BRANCHES):
                 raise ValueError(f"phase map must cover branches {BRANCHES}")
-
-    @property
-    def row(self) -> int:
-        return self.site_a[0]
 
     def initial_config(self) -> MatterConfig:
         return MatterConfig.from_sites(self.grid, [self.site_a, self.site_b])
@@ -184,11 +180,7 @@ def dressed_move(
     else:
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
 
-    moved = apply_ladder(
-        MatterSuperposition.pure(branch.matter), create_at=target,
-        annihilate_at=(row, col),
-    )
-    (new_matter,) = moved.branches
+    new_matter = apply_ladder(branch.matter, create_at=target, annihilate_at=(row, col))
 
     new_field = branch.field
     if dressed:
@@ -203,20 +195,15 @@ def dressed_move(
 class ProtocolTrace:
     """Branch-resolved record of a protocol run. ``states_by_step`` maps
     each step 0..5 to the four (amplitude, BranchState) pairs in branch
-    order; ``phases`` records the evolution phase phi per branch."""
+    order; ``phases`` records the evolution phase phi per branch;
+    ``h_sigma_a`` is the entropy of the reduced spin-A state of
+    ``final_spin``, which is the entanglement the protocol generated
+    because the matter and field factors coincide at the endpoints."""
 
     states_by_step: dict
     final_spin: np.ndarray
     phases: dict
-    entropies: dict
-
-    @property
-    def h_sigma_a(self) -> float:
-        return self.entropies["h_sigma_a"]
-
-    @property
-    def ent_increase(self) -> float:
-        return self.entropies["ent_increase"]
+    h_sigma_a: float
 
 
 def _ground_state(
@@ -262,11 +249,10 @@ def run_protocol(spec: ProtocolSpec, kernels: KernelTable) -> ProtocolTrace:
     _record(states, 0, [(amp, branches[name]) for name in BRANCHES])
 
     # step 1: spin-conditioned splitting, U = U_A (x) U_B
-    split_dir = {"L": "left", "R": "right"}
     for name in BRANCHES:
         b = branches[name]
-        b = dressed_move(spec, b, "A", split_dir[name[0]])
-        b = dressed_move(spec, b, "B", split_dir[name[1]])
+        b = dressed_move(spec, b, "A", _SPLIT_DIR[name[0]])
+        b = dressed_move(spec, b, "B", _SPLIT_DIR[name[1]])
         if branch_constraint_residual(b) > _CONSTRAINT_TOL:
             raise AssertionError(f"dressed state violates the Gauss law in {name}")
         branches[name] = b
@@ -296,11 +282,10 @@ def run_protocol(spec: ProtocolSpec, kernels: KernelTable) -> ProtocolTrace:
     _record(states, 3, [(amp, branches[name]) for name in BRANCHES])
 
     # step 4: spin-conditioned merging, U' = U'_A (x) U'_B
-    merge_dir = {"L": "right", "R": "left"}
     for name in BRANCHES:
         b = branches[name]
-        b = dressed_move(spec, b, "A", merge_dir[name[0]])
-        b = dressed_move(spec, b, "B", merge_dir[name[1]])
+        b = dressed_move(spec, b, "A", _MERGE_DIR[name[0]])
+        b = dressed_move(spec, b, "B", _MERGE_DIR[name[1]])
         if branch_constraint_residual(b) > _CONSTRAINT_TOL:
             raise AssertionError(f"merge dressing violates the Gauss law in {name}")
         branches[name] = b
@@ -330,12 +315,11 @@ def run_protocol(spec: ProtocolSpec, kernels: KernelTable) -> ProtocolTrace:
     final_spin = np.array(
         [amp * np.exp(1j * branches[name].field.phase) for name in BRANCHES]
     )
-    h_a = vn_entropy(reduced_spin_a(final_spin))
     return ProtocolTrace(
         states_by_step=states,
         final_spin=final_spin,
         phases=phases,
-        entropies={"h_sigma_a": h_a, "ent_increase": h_a},
+        h_sigma_a=vn_entropy(reduced_spin_a(final_spin)),
     )
 
 
@@ -375,14 +359,6 @@ def vn_entropy(density_matrix: np.ndarray) -> float:
     return float(-sum(lam * np.log(lam) for lam in eigenvalues if lam > 1e-15))
 
 
-def entanglement_increase(trace: ProtocolTrace) -> float:
-    """Entropy of the reduced spin-A state of the final spin state; this
-    equals the sector-wise entanglement increase between the two halves
-    of the bipartition because the matter and field factors coincide at
-    the endpoints."""
-    return vn_entropy(reduced_spin_a(trace.final_spin))
-
-
 def entropy_from_phases(theta: dict) -> float:
     """Closed-form entropy of the 4-phase spin state: with
     Theta = th_LL + th_RR - th_LR - th_RL the reduced eigenvalues are
@@ -398,7 +374,7 @@ def entropy_from_phases(theta: dict) -> float:
 
 def embezzlement_null_test(
     spec: ProtocolSpec,
-    kernels: KernelTable | None = None,
+    kernels: KernelTable,
     regions: tuple = ("A", "B"),
 ) -> bool:
     """Apply the splitting and merging unitaries back to back with no
@@ -409,21 +385,17 @@ def embezzlement_null_test(
     ``regions`` restricts the moves to a subset of regions, exercising
     the factorized form of the two unitaries.
     """
-    if kernels is None:
-        kernels = build_kernels(spec.grid)
     s0 = spec.initial_config()
     field0 = _ground_state(density(s0), kernels, phase=0.0)
-    split_dir = {"L": "left", "R": "right"}
-    merge_dir = {"L": "right", "R": "left"}
     ok = True
     for name in BRANCHES:
         b = BranchState(s0, field0, SPIN_LABELS[name])
         for region in regions:
             letter = name[0] if region == "A" else name[1]
-            b = dressed_move(spec, b, region, split_dir[letter])
+            b = dressed_move(spec, b, region, _SPLIT_DIR[letter])
         for region in regions:
             letter = name[0] if region == "A" else name[1]
-            b = dressed_move(spec, b, region, merge_dir[letter])
+            b = dressed_move(spec, b, region, _MERGE_DIR[letter])
         ok = ok and b.matter.occupied == s0.occupied
         ok = ok and (b.field.shift - field0.shift).max_abs() < 1e-12
         ok = ok and abs(wrap_phase(b.field.phase - field0.phase)) < 1e-12

@@ -1,13 +1,12 @@
 """Gaussian ground states of the lattice model: vacuum and static-source
-ground energies, the classical Coulomb momentum background, p-basis
-wave-functional evaluation, and eigenstate phase evolution.
+ground energies, the classical Coulomb momentum background, and
+eigenstate phase evolution.
 
 A state is represented by (kernel table, momentum shift, global phase)
 rather than a sampled wave function: every state the entanglement
 protocol touches is a phase times a shifted copy of the fixed vacuum
 Gaussian, which keeps displacement round-trips exactly checkable.
-hbar = 1 throughout; the normalization constant is fixed by convention
-to log A = 0 since only relative quantities are consumed.
+hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -23,11 +22,9 @@ from .spectral import KernelTable, _mode_weights, wave_number_table
 __all__ = [
     "NonNeutralWarning",
     "GaussianFieldState",
-    "EnergyReport",
     "ground_energy",
     "coulomb_energy_shift",
     "coulomb_momentum",
-    "log_amplitude_p",
     "evolve_phase",
     "displace",
     "wrap_phase",
@@ -81,7 +78,6 @@ class GaussianFieldState:
     kernel: KernelTable
     shift: VectorField
     phase: float = 0.0
-    norm_const_log: float = 0.0
 
     def __post_init__(self):
         if self.shift.grid != self.kernel.grid:
@@ -111,25 +107,11 @@ class GaussianFieldState:
         return cls(kernels, shift)
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    e0: float
-    e_shift: float
-
-    @property
-    def total(self) -> float:
-        return self.e0 + self.e_shift
-
-
 def ground_energy(grid: GridSpec) -> float:
     """Vacuum ground-state energy ``1/2 sum |k|`` over all modes (zero
     modes contribute nothing)."""
     _, _, kabs = wave_number_table(grid)
     return 0.5 * float(np.sum(kabs))
-
-
-def _circular_convolve(kernel_values: np.ndarray, field_values: np.ndarray) -> np.ndarray:
-    return np.real(np.fft.ifft2(np.fft.fft2(kernel_values) * np.fft.fft2(field_values)))
 
 
 def coulomb_energy_shift(rho: ScalarField, kernels: KernelTable) -> float:
@@ -139,7 +121,7 @@ def coulomb_energy_shift(rho: ScalarField, kernels: KernelTable) -> float:
     theorem; the literal double sum is kept as a test oracle."""
     if rho.grid != kernels.grid:
         raise ValueError("rho must live on the kernel grid")
-    conv = _circular_convolve(kernels.d_values, rho.values)
+    conv = np.real(np.fft.ifft2(np.fft.fft2(kernels.d_values) * np.fft.fft2(rho.values)))
     return 0.5 * float(np.sum(rho.values * conv))
 
 
@@ -171,36 +153,6 @@ def coulomb_momentum(rho: ScalarField, kernels: KernelTable) -> VectorField:
     px = np.real(np.fft.ifft2(1j * kx * rho_t * inv_k2))
     py = np.real(np.fft.ifft2(1j * ky * rho_t * inv_k2))
     return VectorField.from_arrays(grid, px, py)
-
-
-def quadratic_form_g(kernels: KernelTable, field: VectorField) -> float:
-    """``sum_s sum_ij sum_nm G(i-n, j-m) v_s[i,j] v_s[n,m]`` for a vector
-    field v, the exponent bilinear form of the p-basis Gaussian."""
-    total = 0.0
-    for comp in (field.x, field.y):
-        conv = _circular_convolve(kernels.g_values, comp.values)
-        total += float(np.sum(comp.values * conv))
-    return total
-
-
-def log_amplitude_p(
-    state: GaussianFieldState, p_sample: VectorField, rho: ScalarField
-) -> tuple[float, bool]:
-    """Evaluate the p-basis wave functional at a classical momentum
-    configuration.
-
-    Returns ``(log_modulus, on_constraint)``. The constraint delta factor
-    is reported as the boolean (infinity norm of div p + rho below
-    CONSTRAINT_TOL), not folded into the modulus;
-    ``log_modulus = norm_const_log - 1/2 * sum G (p - shift)(p - shift)``.
-    """
-    if p_sample.grid != state.grid or rho.grid != state.grid:
-        raise ValueError("sample fields must live on the state grid")
-    residual = divergence(p_sample) + rho
-    on_constraint = residual.max_abs() < CONSTRAINT_TOL
-    delta = p_sample - state.shift
-    log_modulus = state.norm_const_log - 0.5 * quadratic_form_g(state.kernel, delta)
-    return log_modulus, on_constraint
 
 
 def evolve_phase(

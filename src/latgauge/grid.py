@@ -45,8 +45,8 @@ class GridSpec:
             raise ValueError(
                 f"need at least 3 sites per side, got {self.n_sites_per_side}"
             )
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not (np.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError(f"spacing must be finite and positive, got {self.spacing}")
 
     @property
     def n(self) -> int:
@@ -103,9 +103,6 @@ class ScalarField:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
     def to_csv(self, path) -> None:
         """Write the flat CSV form: header line ``N,a``, its values, then

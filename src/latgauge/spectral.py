@@ -21,7 +21,6 @@ from .grid import GridSpec, ScalarField
 __all__ = [
     "NonRealResult",
     "FourierField",
-    "WaveVector",
     "KernelTable",
     "dft_forward",
     "dft_inverse",
@@ -43,16 +42,6 @@ class NonRealResult(Exception):
     signalling a conjugate-symmetry violation upstream."""
 
 
-@dataclass(frozen=True)
-class WaveVector:
-    kx: float
-    ky: float
-
-    @property
-    def magnitude(self) -> float:
-        return float(np.hypot(self.kx, self.ky))
-
-
 class FourierField:
     """Complex mode array indexed by (alpha, beta)."""
 
@@ -64,15 +53,6 @@ class FourierField:
             raise ValueError(f"expected shape {grid.shape}, got {modes.shape}")
         self.grid = grid
         self.modes = modes
-
-    def conjugate_symmetry_defect(self) -> float:
-        """Relative deviation from f~[-a,-b] = conj(f~[a,b])."""
-        flipped = np.conj(self.modes[::-1, ::-1])
-        flipped = np.roll(flipped, (1, 1), axis=(0, 1))  # index negation mod N
-        scale = np.max(np.abs(self.modes))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(self.modes - flipped)) / scale)
 
 
 def _dft_matrix(n: int) -> np.ndarray:
@@ -125,14 +105,14 @@ def dft_inverse(
     return ScalarField(modes.grid, values.real)
 
 
-def wave_vector(grid: GridSpec, alpha: int, beta: int) -> WaveVector:
-    """Discrete lattice wave vector of mode (alpha, beta)."""
+def wave_vector(grid: GridSpec, alpha: int, beta: int) -> tuple[float, float]:
+    """Discrete lattice wave vector ``(kx, ky)`` of mode (alpha, beta)."""
     n, a = grid.n, grid.spacing
     if not (0 <= alpha < n and 0 <= beta < n):
         raise ValueError(f"mode ({alpha}, {beta}) outside [0, {n})^2")
-    return WaveVector(
-        kx=np.sin(2.0 * np.pi * beta / n) / a,
-        ky=np.sin(2.0 * np.pi * alpha / n) / a,
+    return (
+        float(np.sin(2.0 * np.pi * beta / n) / a),
+        float(np.sin(2.0 * np.pi * alpha / n) / a),
     )
 
 
@@ -170,14 +150,6 @@ class KernelTable:
     def d(self, di: int, dj: int) -> float:
         i, j = self.grid.wrap(di, dj)
         return float(self.d_values[i, j])
-
-    def g_field(self) -> ScalarField:
-        """The G table as a scalar field, e.g. for CSV/JSON export."""
-        return ScalarField(self.grid, self.g_values.copy())
-
-    def d_field(self) -> ScalarField:
-        """The D table as a scalar field, e.g. for CSV/JSON export."""
-        return ScalarField(self.grid, self.d_values.copy())
 
 
 def _mode_weights(grid: GridSpec) -> tuple[np.ndarray, ...]:
@@ -277,12 +249,10 @@ def load_kernels(path) -> KernelTable:
     return table
 
 
-def load_or_build_kernels(grid: GridSpec, cache_dir=None) -> KernelTable:
+def load_or_build_kernels(grid: GridSpec, cache_dir) -> KernelTable:
     """Fetch the kernel table from the cache directory, rebuilding (and
     rewriting) transparently when the file is missing, corrupted, or
     holds a table for another grid."""
-    if cache_dir is None:
-        return build_kernels(grid)
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, _cache_key(grid))
     if os.path.exists(path):

@@ -4,8 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latgauge.cli import RunConfig, UsageError, main, parse_args
+from latgauge import cli
+from latgauge.cli import RunConfig, UsageError, _parse_sweep, main, parse_args
+from latgauge.dynamics import UnstableStep
+from latgauge.fme import NotSeparable
+from latgauge.spectral import NonRealResult
 
 
 def run(argv, tmp_path, env_cache=True):
@@ -41,6 +47,125 @@ class TestParsing:
             ["--seed", "7", "--cache-dir", "/tmp/k", "selftest"]
         )
         assert cfg.seed == 7 and cfg.cache_dir == "/tmp/k"
+
+
+class TestParseSweep:
+    @given(
+        start=st.floats(-100, 100),
+        span=st.floats(0, 100),
+        step=st.floats(1e-2, 100),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_finite_sweep(self, start, span, step):
+        stop = start + span
+        taus = _parse_sweep(f"{start!r}:{stop!r}:{step!r}")
+        # the grid start, start + step, ... up to the last point not past stop
+        tol = 1e-9 * max(1.0, abs(start), abs(stop))
+        assert taus[0] == start
+        np.testing.assert_allclose(np.diff(taus), step, rtol=1e-9, atol=tol)
+        assert taus[-1] <= stop + tol
+        assert taus[-1] + step > stop - tol
+
+    @given(
+        fields=st.lists(st.floats(-10, 10), min_size=3, max_size=3),
+        bad=st.sampled_from(["nan", "inf", "-inf"]),
+        where=st.integers(0, 2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_field_is_usage_error(self, fields, bad, where):
+        text = [repr(x) for x in fields]
+        text[where] = bad
+        with pytest.raises(UsageError):
+            _parse_sweep(":".join(text))
+
+
+class TestNumericArguments:
+    """Non-finite and out-of-range numbers are usage errors (exit 2)."""
+
+    def test_infinite_spacing(self, tmp_path):
+        code = run(
+            ["coulomb", "--n", "9", "--a", "inf", "--charges", "4,2;4,6",
+             "--out", str(tmp_path / "o.json")],
+            tmp_path,
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau(self, tmp_path, tau):
+        out = tmp_path / "fme.csv"
+        code = run(
+            ["fme", "--n", "25", "--sites", "12,7:12,17", "--tau", tau,
+             "--out", str(out)],
+            tmp_path,
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_non_finite_sweep_bound(self, tmp_path):
+        code = run(
+            ["fme", "--n", "25", "--sites", "12,7:12,17", "--sweep-tau", "0:nan:1"],
+            tmp_path,
+        )
+        assert code == 2
+
+    def test_nan_timestep(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        code = run(
+            ["dynamics", "--n", "4", "--dt", "nan", "--steps", "2", "--out", str(out)],
+            tmp_path,
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_negative_step_count(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        code = run(
+            ["dynamics", "--n", "4", "--dt", "0.1", "--steps", "-3", "--out", str(out)],
+            tmp_path,
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_off_grid_charge(self, tmp_path, capsys):
+        code = run(
+            ["coulomb", "--n", "9", "--charges", "20,20", "--out",
+             str(tmp_path / "o.json")],
+            tmp_path,
+        )
+        assert code == 2
+        assert "outside" in capsys.readouterr().err
+
+
+class TestComputationalFailures:
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            MemoryError("Unable to allocate 7.28 PiB for an array"),
+            MemoryError(),
+            AssertionError("background violates the Gauss law by 1.00e-03"),
+            UnstableStep("energy drifted"),
+            NotSeparable("field shifts differ in branch LR"),
+            NonRealResult("imaginary residue 1e-3"),
+        ],
+        ids=[
+            "MemoryError",
+            "MemoryError-no-message",
+            "AssertionError",
+            "UnstableStep",
+            "NotSeparable",
+            "NonRealResult",
+        ],
+    )
+    def test_exit_1_with_one_line(self, tmp_path, monkeypatch, capsys, exc):
+        def fail(cfg):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "fme", fail)
+        code = run(["fme", "--n", "25", "--sites", "12,7:12,17"], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestDynamicsCommand:

@@ -11,7 +11,6 @@ from latgauge.dynamics import (
     SourceConfig,
     UnstableStep,
     constraint_residual,
-    default_timestep,
     energy,
     eom_rhs,
     gauge_transform,
@@ -192,8 +191,17 @@ class TestLeapfrog:
         with pytest.raises(ValueError):
             step_leapfrog(PhaseSpaceState.zero(grid), SourceConfig.vacuum(grid), -0.1, 1)
 
-    def test_default_timestep(self):
-        assert default_timestep(GridSpec(8, 2.0)) == pytest.approx(0.2 / np.sqrt(2))
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0])
+    def test_rejects_non_finite_or_zero_dt(self, dt):
+        grid = GridSpec(5, 1.0)
+        with pytest.raises(ValueError, match="dt"):
+            step_leapfrog(PhaseSpaceState.zero(grid), SourceConfig.vacuum(grid), dt, 1)
+
+    def test_rejects_negative_step_count(self):
+        # range(-3) is empty, but the state's time would run backwards
+        grid = GridSpec(5, 1.0)
+        with pytest.raises(ValueError, match="n_steps"):
+            step_leapfrog(PhaseSpaceState.zero(grid), SourceConfig.vacuum(grid), 0.1, -3)
 
 
 class TestConstraintResidual:
@@ -256,15 +264,3 @@ class TestGaugeTransform:
         assert (twice.q.x - once.q.x).max_abs() < 1e-15
         assert (twice.q.y - once.q.y).max_abs() < 1e-15
 
-
-class TestSourceConfig:
-    def test_continuity_residual_reports(self):
-        grid = GridSpec(6, 1.0)
-        rng = np.random.default_rng(13)
-        jx = ScalarField(grid, rng.standard_normal(grid.shape))
-        jy = ScalarField(grid, rng.standard_normal(grid.shape))
-        source = SourceConfig(ScalarField.zeros(grid), jx, jy)
-        res = source.continuity_residual()
-        expected = dbar(jx, "x") + dbar(jy, "y")
-        np.testing.assert_array_equal(res.values, expected.values)
-        assert not source.is_static

@@ -12,7 +12,6 @@ from latgauge.fme import (
     branch_constraint_residual,
     dressed_move,
     embezzlement_null_test,
-    entanglement_increase,
     entropy_from_phases,
     reduced_spin_a,
     run_protocol,
@@ -101,10 +100,6 @@ class TestSpecValidation:
                 region_a=Region.square((9, 4), 7),
                 region_b=Region.square((9, 14), 7),
             )
-
-    def test_displacement_is_pinned(self):
-        with pytest.raises(ValueError):
-            small_spec(displacement=1)
 
 
 class TestDressedMove:
@@ -225,7 +220,7 @@ class TestRunProtocol:
 
     def test_entanglement_increase_equals_reduced_entropy(self, small_kernels):
         trace = run_protocol(small_spec(tau=90.0), small_kernels)
-        assert entanglement_increase(trace) == trace.h_sigma_a
+        assert trace.h_sigma_a == vn_entropy(reduced_spin_a(trace.final_spin))
 
 
 class TestVnEntropy:
