@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from .dynamics import (
     PhaseSpaceState,
     SourceConfig,
     UnstableStep,
+    _check_drift,
     constraint_residual,
     energy,
     step_leapfrog,
@@ -34,7 +34,7 @@ from .fme import (
     embezzlement_null_test,
     run_protocol,
 )
-from .gaussian import NonNeutralWarning, coulomb_energy_shift, ground_energy
+from .gaussian import coulomb_energy_shift, ground_energy
 from .grid import GridSpec
 from .matter import MatterConfig, density
 from .spectral import NonRealResult, load_or_build_kernels
@@ -95,6 +95,9 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
+_MAX_SWEEP_POINTS = 10**6
+
+
 def _parse_sweep(text: str) -> np.ndarray:
     try:
         start_s, stop_s, step_s = text.split(":")
@@ -105,8 +108,10 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise UsageError(f"bad sweep {text!r}, bounds must be finite")
     if step <= 0 or stop < start:
         raise UsageError(f"bad sweep bounds {text!r}")
-    count = int(np.floor((stop - start) / step + 1e-12)) + 1
-    return start + step * np.arange(count)
+    span = np.floor((stop - start) / step + 1e-12)  # inf if it overflows
+    if not span < _MAX_SWEEP_POINTS:
+        raise UsageError(f"sweep {text!r} has more than {_MAX_SWEEP_POINTS} points")
+    return start + step * np.arange(int(span) + 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -136,8 +141,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fme_cmd.add_argument("--a", type=float, default=1.0)
     fme_cmd.add_argument("--sites", required=True, help='colon pair, e.g. "50,40:50,60"')
     fme_cmd.add_argument("--row", type=int, default=None)
-    fme_cmd.add_argument("--tau", type=float, default=0.0)
-    fme_cmd.add_argument("--sweep-tau", default=None, help="start:stop:step")
+    taus = fme_cmd.add_mutually_exclusive_group()
+    taus.add_argument("--tau", type=float, default=0.0)
+    taus.add_argument("--sweep-tau", default=None, help="start:stop:step")
     fme_cmd.add_argument("--region-size", type=int, default=7)
     fme_cmd.add_argument("--out", default=None)
     fme_cmd.add_argument("--null-test", action="store_true")
@@ -199,18 +205,21 @@ def _cmd_dynamics(cfg: RunConfig) -> int:
     state = PhaseSpaceState.random(grid, rng)
     source = SourceConfig.vacuum(grid)
 
-    def csv_row(state: PhaseSpaceState) -> str:
+    def csv_row(state: PhaseSpaceState, h: float) -> str:
         return (
-            f"{_float_csv(state.time)},{_float_csv(energy(state, source))},"
+            f"{_float_csv(state.time)},{_float_csv(h)},"
             f"{_float_csv(constraint_residual(state, source).max_abs())}\n"
         )
 
+    h0 = energy(state, source)
     with open(p["out"], "w", encoding="ascii", newline="\n") as fh:
         fh.write("t,H,max_constraint_residual\n")
-        fh.write(csv_row(state))
-        for _ in range(p["steps"]):
+        fh.write(csv_row(state, h0))
+        for step in range(1, p["steps"] + 1):
             state = step_leapfrog(state, source, p["dt"], 1, energy_check=False)
-            fh.write(csv_row(state))
+            h = energy(state, source)
+            _check_drift(h0, h, step)
+            fh.write(csv_row(state, h))
     return 0
 
 
@@ -223,13 +232,9 @@ def _cmd_coulomb(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     kernels = load_or_build_kernels(grid, cfg.cache_dir)
-    rho = density(config)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonNeutralWarning)
-        e_shift = coulomb_energy_shift(rho, kernels)
     result = {
         "e0": ground_energy(grid),
-        "e_shift": e_shift,
+        "e_shift": coulomb_energy_shift(density(config), kernels),
         "pair_distance": None,
         "D_of_d": None,
     }

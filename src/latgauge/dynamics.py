@@ -175,12 +175,17 @@ def step_leapfrog(
         time=state.time + dt * n_steps,
     )
     if energy_check:
-        h0, h1 = energy(state, source), energy(out, source)
-        if abs(h1 - h0) > 0.01 * max(abs(h0), 1e-30):
-            raise UnstableStep(
-                f"energy drifted from {h0:.6e} to {h1:.6e} over {n_steps} steps"
-            )
+        _check_drift(energy(state, source), energy(out, source), n_steps)
     return out
+
+
+def _check_drift(h0: float, h1: float, n_steps: int) -> None:
+    """Raise UnstableStep unless |h1 - h0| <= 1% of |h0|; a non-finite
+    h1 counts as drift."""
+    if not abs(h1 - h0) <= 0.01 * max(abs(h0), 1e-30):
+        raise UnstableStep(
+            f"energy drifted from {h0:.6e} to {h1:.6e} over {n_steps} steps"
+        )
 
 
 def constraint_residual(state: PhaseSpaceState, source: SourceConfig) -> ScalarField:

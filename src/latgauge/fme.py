@@ -14,7 +14,7 @@ initial state exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -217,6 +217,18 @@ def _ground_state(
     return GaussianFieldState(state.kernel, state.shift, phase=phase)
 
 
+def _moves(spec, branch, name, directions, regions=("A", "B")) -> BranchState:
+    """Apply branch ``name``'s dressed move in each region (its first
+    letter steers A, its second B; ``directions`` maps a letter to a
+    move direction), then assert the sourced Gauss law."""
+    for region in regions:
+        letter = name[0] if region == "A" else name[1]
+        branch = dressed_move(spec, branch, region, directions[letter])
+    if branch_constraint_residual(branch) > _CONSTRAINT_TOL:
+        raise AssertionError(f"dressed state violates the Gauss law in {name}")
+    return branch
+
+
 def _record(trace_states, step, entries):
     trace_states[step] = list(entries)
     norm = sum(abs(amp) ** 2 for amp, _ in entries)
@@ -240,68 +252,41 @@ def run_protocol(spec: ProtocolSpec, kernels: KernelTable) -> ProtocolTrace:
         raise ValueError("kernel table lives on a different grid")
     amp = 0.5 + 0.0j
     s0 = spec.initial_config()
-    rho0 = density(s0)
-    field0 = _ground_state(rho0, kernels, phase=0.0)
+    field0 = _ground_state(density(s0), kernels, phase=0.0)
     states = {}
-    branches = {
-        name: BranchState(s0, field0, SPIN_LABELS[name]) for name in BRANCHES
-    }
+    branches = {n: BranchState(s0, field0, SPIN_LABELS[n]) for n in BRANCHES}
     _record(states, 0, [(amp, branches[name]) for name in BRANCHES])
 
     # step 1: spin-conditioned splitting, U = U_A (x) U_B
     for name in BRANCHES:
-        b = branches[name]
-        b = dressed_move(spec, b, "A", _SPLIT_DIR[name[0]])
-        b = dressed_move(spec, b, "B", _SPLIT_DIR[name[1]])
-        if branch_constraint_residual(b) > _CONSTRAINT_TOL:
-            raise AssertionError(f"dressed state violates the Gauss law in {name}")
-        branches[name] = b
+        branches[name] = _moves(spec, branches[name], name, _SPLIT_DIR)
     _record(states, 1, [(amp, branches[name]) for name in BRANCHES])
 
     # step 2: relaxation to the branch ground state, phase gamma(s)
-    for name in BRANCHES:
-        b = branches[name]
-        rho = density(b.matter)
-        branches[name] = BranchState(
-            b.matter,
-            _ground_state(rho, kernels, phase=wrap_phase(b.field.phase + spec.gamma[name])),
-            b.spin_label,
-        )
+    for name, b in branches.items():
+        phase = wrap_phase(b.field.phase + spec.gamma[name])
+        branches[name] = replace(b, field=_ground_state(density(b.matter), kernels, phase))
     _record(states, 2, [(amp, branches[name]) for name in BRANCHES])
 
     # step 3: eigenstate evolution; the vacuum energy is common to all
     # branches and dropped, leaving phi(s) = -(E_rho(s) - E_0) tau
     phases = {}
-    for name in BRANCHES:
-        b = branches[name]
+    for name, b in branches.items():
         e_shift = coulomb_energy_shift(density(b.matter), kernels)
         phases[name] = wrap_phase(-e_shift * spec.tau)
-        branches[name] = BranchState(
-            b.matter, evolve_phase(b.field, e_shift, spec.tau), b.spin_label
-        )
+        branches[name] = replace(b, field=evolve_phase(b.field, e_shift, spec.tau))
     _record(states, 3, [(amp, branches[name]) for name in BRANCHES])
 
     # step 4: spin-conditioned merging, U' = U'_A (x) U'_B
     for name in BRANCHES:
-        b = branches[name]
-        b = dressed_move(spec, b, "A", _MERGE_DIR[name[0]])
-        b = dressed_move(spec, b, "B", _MERGE_DIR[name[1]])
-        if branch_constraint_residual(b) > _CONSTRAINT_TOL:
-            raise AssertionError(f"merge dressing violates the Gauss law in {name}")
-        branches[name] = b
+        branches[name] = _moves(spec, branches[name], name, _MERGE_DIR)
     _record(states, 4, [(amp, branches[name]) for name in BRANCHES])
 
-    # step 5: relax to the start sector, phase gamma'(s), then factor
-    for name in BRANCHES:
-        b = branches[name]
-        branches[name] = BranchState(
-            b.matter,
-            _ground_state(
-                rho0, kernels,
-                phase=wrap_phase(b.field.phase + spec.gamma_prime[name]),
-            ),
-            b.spin_label,
-        )
+    # step 5: relax to the start sector (ground state field0), phase
+    # gamma'(s), then factor
+    for name, b in branches.items():
+        phase = wrap_phase(b.field.phase + spec.gamma_prime[name])
+        branches[name] = replace(b, field=replace(field0, phase=phase))
     _record(states, 5, [(amp, branches[name]) for name in BRANCHES])
 
     reference = branches[BRANCHES[0]]
@@ -381,6 +366,7 @@ def embezzlement_null_test(
     relaxation or evolution in between and check the state returns to
     step 0 exactly: bit-equal matter, field shifts within 1e-12, phases
     unchanged after wrapping, spins restored to the product plus state.
+    Both dressed states are held to the Gauss law, as in the protocol.
 
     ``regions`` restricts the moves to a subset of regions, exercising
     the factorized form of the two unitaries.
@@ -390,12 +376,8 @@ def embezzlement_null_test(
     ok = True
     for name in BRANCHES:
         b = BranchState(s0, field0, SPIN_LABELS[name])
-        for region in regions:
-            letter = name[0] if region == "A" else name[1]
-            b = dressed_move(spec, b, region, _SPLIT_DIR[letter])
-        for region in regions:
-            letter = name[0] if region == "A" else name[1]
-            b = dressed_move(spec, b, region, _MERGE_DIR[letter])
+        b = _moves(spec, b, name, _SPLIT_DIR, regions)
+        b = _moves(spec, b, name, _MERGE_DIR, regions)
         ok = ok and b.matter.occupied == s0.occupied
         ok = ok and (b.field.shift - field0.shift).max_abs() < 1e-12
         ok = ok and abs(wrap_phase(b.field.phase - field0.phase)) < 1e-12

@@ -2,6 +2,10 @@
 ground energies, the classical Coulomb momentum background, and
 eigenstate phase evolution.
 
+The kernel table D is the one representation of the Coulomb problem:
+backgrounds and sector energies are read off it at the charged sites,
+and their mode-space forms survive only as test oracles.
+
 A state is represented by (kernel table, momentum shift, global phase)
 rather than a sampled wave function: every state the entanglement
 protocol touches is a phase times a shifted copy of the fixed vacuum
@@ -16,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField, divergence
+from .grid import GridSpec, ScalarField, VectorField, dbar, divergence
 from .spectral import KernelTable, _mode_weights, wave_number_table
 
 __all__ = [
@@ -45,7 +49,10 @@ class NonNeutralWarning(UserWarning):
 
 
 def wrap_phase(phi: float) -> float:
-    """Canonical wrap into (-pi, pi]."""
+    """Canonical wrap into (-pi, pi]; a non-finite phi, such as an
+    overflowed ``energy * tau``, raises ValueError."""
+    if not np.isfinite(phi):
+        raise ValueError(f"phase {phi} is not finite")
     return float(np.pi - (np.pi - phi) % (2.0 * np.pi))
 
 
@@ -115,44 +122,52 @@ def ground_energy(grid: GridSpec) -> float:
 
 
 def coulomb_energy_shift(rho: ScalarField, kernels: KernelTable) -> float:
-    """Ground-energy correction of a static source:
-    ``1/2 sum_ij sum_nm D(i-n, j-m) rho[i,j] rho[n,m]`` with the
-    zero-mode-excluded D. Evaluated through the circular convolution
-    theorem; the literal double sum is kept as a test oracle."""
+    """Ground-energy correction of a static source,
+    ``1/2 sum_{s,t} rho_s rho_t D(s - t)`` with the zero-mode-excluded D,
+    by table lookup over the k charged sites, O(k^2). The literal double
+    sum over all sites and the Fourier-side sum are its test oracles."""
     if rho.grid != kernels.grid:
         raise ValueError("rho must live on the kernel grid")
-    conv = np.real(np.fft.ifft2(np.fft.fft2(kernels.d_values) * np.fft.fft2(rho.values)))
-    return 0.5 * float(np.sum(rho.values * conv))
+    n = rho.grid.n
+    rows, cols = np.nonzero(rho.values)
+    charges = rho.values[rows, cols]
+    total = 0.0
+    for i, j, q in zip(rows, cols, charges):
+        total += q * (charges @ kernels.d_values[(i - rows) % n, (j - cols) % n])
+    return 0.5 * float(total)
 
 
 def coulomb_momentum(rho: ScalarField, kernels: KernelTable) -> VectorField:
     """Classical momentum background solving the sourced Gauss law,
-    computed spectrally as the inverse transform of
-    ``i k_s rho~ / |k|^2`` with the zero modes dropped.
+    ``p_s = dbar_s (D * rho)``: copies of the D table rolled to the k
+    charged sites, O(k N^2). As ``fft2(D) = 1/|k|^2`` on the kept modes
+    and ``dbar_s`` multiplies by ``i k_s``, this is the mode-space
+    ``i k_s rho~ / |k|^2``, its test oracle.
 
     Warns
     -----
     NonNeutralWarning
-        When the total charge is nonzero, since the dropped uniform mode
-        then means the constraint is solved only up to the mean of rho.
+        When rho has a component on an excluded mode (a net charge, or a
+        staggered one on even N); the constraint then holds up to it.
     """
     grid = kernels.grid
     if rho.grid != grid:
         raise ValueError("rho must live on the kernel grid")
-    kx, ky, _, inv_k2, nonzero = _mode_weights(grid)
-    rho_t = np.fft.fft2(rho.values)
-    if np.max(np.abs(rho_t[~nonzero])) > 1e-12 * max(1.0, np.max(np.abs(rho_t))):
+    excluded = rho.values - solvable_charge_part(rho).values
+    if np.max(np.abs(excluded)) > 1e-12 * max(1.0, np.max(np.abs(rho.values))):
         warnings.warn(
             NonNeutralWarning(
                 "charge density has components on the excluded zero modes "
-                f"(total charge {rho_t[0, 0].real:.3g}); the background solves "
+                f"(total charge {rho.values.sum():.3g}); the background solves "
                 "the constraint only up to those components"
             ),
             stacklevel=2,
         )
-    px = np.real(np.fft.ifft2(1j * kx * rho_t * inv_k2))
-    py = np.real(np.fft.ifft2(1j * ky * rho_t * inv_k2))
-    return VectorField.from_arrays(grid, px, py)
+    phi = np.zeros(grid.shape)
+    for site in zip(*np.nonzero(rho.values)):
+        phi += rho.values[site] * np.roll(kernels.d_values, site, axis=(0, 1))
+    phi = ScalarField(grid, phi)
+    return VectorField(dbar(phi, "x"), dbar(phi, "y"))
 
 
 def evolve_phase(

@@ -153,15 +153,15 @@ class KernelTable:
 
 
 def _mode_weights(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Wave numbers and zero-mode-excluded weights over all modes:
-    ``(kx, ky, 1/|k|, 1/|k|^2, kept)``, where ``kept`` masks the modes
-    with |k| > 0. The one place that decides which modes are excluded."""
-    kx, ky, kabs = wave_number_table(grid)
+    """Zero-mode-excluded weights over all modes: ``(1/|k|, 1/|k|^2,
+    kept)``, where ``kept`` masks the modes with |k| > 0. The one place
+    that decides which modes are excluded."""
+    *_, kabs = wave_number_table(grid)
     nonzero = kabs > _ZERO_TOL / grid.spacing
     safe = np.where(nonzero, kabs, 1.0)
     inv_k = np.where(nonzero, 1.0 / safe, 0.0)
     inv_k2 = np.where(nonzero, 1.0 / safe**2, 0.0)
-    return kx, ky, inv_k, inv_k2, nonzero
+    return inv_k, inv_k2, nonzero
 
 
 def build_kernels(grid: GridSpec, method: str = "fft") -> KernelTable:
@@ -172,7 +172,7 @@ def build_kernels(grid: GridSpec, method: str = "fft") -> KernelTable:
     direct path performs the defining summation and is kept as the test
     oracle. Excluded-mode count is asserted on every build.
     """
-    _, _, inv_k, inv_k2, nonzero = _mode_weights(grid)
+    inv_k, inv_k2, nonzero = _mode_weights(grid)
     n = grid.n
     excluded = n * n - int(np.count_nonzero(nonzero))
     if excluded != zero_mode_count(grid):

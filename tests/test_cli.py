@@ -66,6 +66,12 @@ class TestParseSweep:
         assert taus[-1] <= stop + tol
         assert taus[-1] + step > stop - tol
 
+    def test_point_count_is_bounded(self):
+        assert len(_parse_sweep("0:999999:1")) == 10**6
+        for text in ("0:1000000:1", "0:1e12:1e-3", "-1e308:1e308:1"):
+            with pytest.raises(UsageError, match="more than 1000000 points"):
+                _parse_sweep(text)
+
     @given(
         fields=st.lists(st.floats(-10, 10), min_size=3, max_size=3),
         bad=st.sampled_from(["nan", "inf", "-inf"]),
@@ -107,6 +113,24 @@ class TestNumericArguments:
             tmp_path,
         )
         assert code == 2
+
+    def test_huge_sweep(self, tmp_path, capsys):
+        # rejected before anything the size of the sweep is allocated
+        code = run(
+            ["fme", "--n", "25", "--sites", "12,7:12,17", "--sweep-tau", "0:1e12:1e-3"],
+            tmp_path,
+        )
+        assert code == 2
+        assert "more than" in capsys.readouterr().err
+
+    def test_tau_and_sweep_are_exclusive(self, tmp_path, capsys):
+        code = run(
+            ["fme", "--n", "25", "--sites", "12,7:12,17", "--tau", "5",
+             "--sweep-tau", "0:1:1"],
+            tmp_path,
+        )
+        assert code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_nan_timestep(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -166,6 +190,38 @@ class TestComputationalFailures:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestOverflow:
+    """Runs that overflow fail with exit 1 and one line, not a CSV of
+    nan."""
+
+    def test_overflowing_phase(self, tmp_path, capsys):
+        out = tmp_path / "fme.csv"
+        code = run(
+            ["fme", "--n", "25", "--sites", "12,7:12,17", "--tau", "1e308",
+             "--out", str(out)],
+            tmp_path,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not finite" in err
+        assert not out.exists()
+
+    def test_unstable_dynamics(self, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        with np.errstate(all="raise"):
+            # the drift check stops the run before anything overflows
+            code = run(
+                ["dynamics", "--n", "4", "--dt", "10", "--steps", "400",
+                 "--out", str(out)],
+                tmp_path,
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: energy drifted") and err.count("\n") == 1
+        assert "nan" not in out.read_text()
 
 
 class TestDynamicsCommand:

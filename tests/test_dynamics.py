@@ -174,6 +174,13 @@ class TestLeapfrog:
             # far beyond the sqrt(2) stability limit
             step_leapfrog(state, SourceConfig.vacuum(grid), 2.0, 200)
 
+    def test_non_finite_energy_counts_as_drift(self):
+        # the state overflows to nan, and abs(nan - h0) > tol is False
+        grid = GridSpec(4, 1.0)
+        state = random_state(grid, 0)
+        with np.errstate(all="ignore"), pytest.raises(UnstableStep, match="nan"):
+            step_leapfrog(state, SourceConfig.vacuum(grid), 10.0, 400)
+
     def test_energy_evaluated_only_for_the_check(self, monkeypatch):
         import latgauge.dynamics as dynamics
 

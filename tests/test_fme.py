@@ -6,6 +6,7 @@ import pytest
 
 from latgauge.algebra import Region
 from latgauge.fme import (
+    BRANCHES,
     BranchState,
     NotDensityMatrix,
     ProtocolSpec,
@@ -18,6 +19,7 @@ from latgauge.fme import (
     vn_entropy,
     _ground_state,
 )
+from latgauge.gaussian import wrap_phase
 from latgauge.grid import GridSpec, divergence
 from latgauge.matter import density
 from latgauge.spectral import build_kernels
@@ -218,6 +220,26 @@ class TestRunProtocol:
             trace = run_protocol(small_spec(tau=float(tau)), small_kernels)
             assert -1e-12 <= trace.h_sigma_a <= np.log(2.0) + 1e-12
 
+    def test_five_backgrounds_per_run(self, small_kernels, monkeypatch):
+        # one for the start sector, one per branch at step 2; step 5
+        # returns to the start sector's ground state
+        import latgauge.gaussian as gaussian
+
+        calls = []
+        solve = gaussian.coulomb_momentum
+        monkeypatch.setattr(
+            gaussian, "coulomb_momentum", lambda *a: calls.append(a) or solve(*a)
+        )
+        gamma_prime = {"LL": 0.3, "LR": 0.0, "RL": -1.1, "RR": 2.0}
+        trace = run_protocol(small_spec(tau=2.0, gamma_prime=gamma_prime), small_kernels)
+        assert len(calls) == 5
+        (_, start), *_ = trace.states_by_step[0]
+        steps = trace.states_by_step
+        for name, (_, before), (_, after) in zip(BRANCHES, steps[4], steps[5]):
+            assert after.field.shift is start.field.shift
+            expected = before.field.phase + gamma_prime[name]
+            assert abs(wrap_phase(after.field.phase - expected)) < 1e-12
+
     def test_entanglement_increase_equals_reduced_entropy(self, small_kernels):
         trace = run_protocol(small_spec(tau=90.0), small_kernels)
         assert trace.h_sigma_a == vn_entropy(reduced_spin_a(trace.final_spin))
@@ -261,6 +283,18 @@ class TestEmbezzlement:
         spec = small_spec()
         assert embezzlement_null_test(spec, small_kernels, regions=("A",))
         assert embezzlement_null_test(spec, small_kernels, regions=("B",))
+
+    def test_gauss_law_checked(self, small_kernels, monkeypatch):
+        # an undressed move breaks the Gauss law; the null test says so
+        # rather than only comparing end states
+        import latgauge.fme as fme
+
+        move = fme.dressed_move
+        monkeypatch.setattr(
+            fme, "dressed_move", lambda *a: move(*a, dressed=False)
+        )
+        with pytest.raises(AssertionError, match="Gauss law"):
+            embezzlement_null_test(small_spec(), small_kernels)
 
     def test_full_protocol_differs_for_generic_tau(self, small_kernels):
         trace = run_protocol(small_spec(tau=150.0), small_kernels)

@@ -4,6 +4,8 @@ bookkeeping."""
 import numpy as np
 import pytest
 
+from latgauge.algebra import Region
+from latgauge.fme import BRANCHES, ProtocolSpec, run_protocol
 from latgauge.gaussian import (
     GaussianFieldState,
     NonNeutralWarning,
@@ -15,7 +17,7 @@ from latgauge.gaussian import (
     wrap_phase,
 )
 from latgauge.grid import GridSpec, ScalarField, VectorField, divergence
-from latgauge.spectral import build_kernels, wave_vector
+from latgauge.spectral import _mode_weights, build_kernels, wave_number_table, wave_vector
 
 
 def neutral_random_charges(grid, seed):
@@ -30,6 +32,17 @@ def two_charges(grid, site_1, site_2):
     values[site_1] = 1.0
     values[site_2] = 1.0
     return ScalarField(grid, values)
+
+
+def mode_space_momentum(rho):
+    """The background in mode space, ``i k_s rho~ / |k|^2`` with the
+    |k| = 0 modes dropped: the oracle of coulomb_momentum."""
+    kx, ky, _ = wave_number_table(rho.grid)
+    _, inv_k2, _ = _mode_weights(rho.grid)
+    rho_t = np.fft.fft2(rho.values)
+    px = np.real(np.fft.ifft2(1j * kx * rho_t * inv_k2))
+    py = np.real(np.fft.ifft2(1j * ky * rho_t * inv_k2))
+    return VectorField.from_arrays(rho.grid, px, py)
 
 
 class TestGroundEnergy:
@@ -87,17 +100,19 @@ class TestCoulombEnergyShift:
                         slow += kernels.d(i - p, j - q) * rho.values[i, j] * rho.values[p, q]
         assert fast == pytest.approx(0.5 * slow, rel=1e-9)
 
-    def test_fourier_side_oracle(self):
-        grid = GridSpec(15, 1.0)
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_fourier_side_oracle(self, n):
+        # on even N the mask also drops the three staggered doubler modes
+        grid = GridSpec(n, 1.0)
         kernels = build_kernels(grid)
         rho = neutral_random_charges(grid, 2)
         fast = coulomb_energy_shift(rho, kernels)
         rho_t = np.fft.fft2(rho.values)
-        s = np.sin(2 * np.pi * np.arange(15) / 15)
+        s = np.sin(2 * np.pi * np.arange(n) / n)
         ky, kx = np.meshgrid(s, s, indexing="ij")
         k2 = kx**2 + ky**2
         mask = k2 > 1e-12
-        oracle = float(np.sum(np.abs(rho_t[mask]) ** 2 / k2[mask])) / (2 * 15**2)
+        oracle = float(np.sum(np.abs(rho_t[mask]) ** 2 / k2[mask])) / (2 * n**2)
         assert fast == pytest.approx(oracle, rel=1e-9)
 
     def test_translation_invariance(self):
@@ -119,6 +134,22 @@ class TestCoulombEnergyShift:
 
 
 class TestCoulombMomentum:
+    @pytest.mark.filterwarnings("ignore::latgauge.gaussian.NonNeutralWarning")
+    @pytest.mark.parametrize("kind", ["neutral", "non-neutral", "two-charge"])
+    @pytest.mark.parametrize("n", [15, 16, 30, 101])
+    def test_matches_mode_space_oracle(self, n, kind):
+        grid = GridSpec(n, 1.0)
+        kernels = build_kernels(grid)
+        if kind == "neutral":
+            rho = neutral_random_charges(grid, n)
+        elif kind == "non-neutral":
+            rng = np.random.default_rng(n)
+            rho = ScalarField(grid, rng.integers(-2, 3, size=grid.shape).astype(float))
+        else:
+            rho = two_charges(grid, (n // 2, n // 3), (n // 2, 2 * n // 3))
+        fast = coulomb_momentum(rho, kernels)
+        assert (fast - mode_space_momentum(rho)).max_abs() < 1e-12
+
     def test_zero_charge(self):
         grid = GridSpec(9, 1.0)
         kernels = build_kernels(grid)
@@ -189,7 +220,38 @@ class TestCoulombMomentum:
         assert abs(solvable.values.sum()) < 1e-9
 
 
+class TestProtocolPhases:
+    """Each branch's phase is its two-charge sector energy
+    ``D(0) + D(sep)`` times -tau, read straight off the D table."""
+
+    @pytest.mark.parametrize("n", [25, 100])
+    @pytest.mark.parametrize("tau", [0.7, 3.0, 10.0])
+    def test_phases_are_table_lookups(self, n, tau):
+        grid = GridSpec(n, 1.0)
+        kernels = build_kernels(grid)
+        row, col_a, d = n // 2, n // 2 - 5, 10
+        spec = ProtocolSpec(
+            grid=grid,
+            site_a=(row, col_a),
+            site_b=(row, col_a + d),
+            region_a=Region.square((row - 3, col_a - 3), 7),
+            region_b=Region.square((row - 3, col_a + d - 3), 7),
+            tau=tau,
+        )
+        trace = run_protocol(spec, kernels)
+        separation = {"LL": d, "LR": d + 4, "RL": d - 4, "RR": d}
+        for name in BRANCHES:
+            energy = kernels.d(0, 0) + kernels.d(0, separation[name])
+            expected = wrap_phase(-energy * tau)
+            assert abs(wrap_phase(trace.phases[name] - expected)) < 1e-12
+
+
 class TestPhases:
+    @pytest.mark.parametrize("phi", [np.inf, -np.inf, np.nan])
+    def test_wrap_rejects_non_finite(self, phi):
+        with pytest.raises(ValueError, match="not finite"):
+            wrap_phase(phi)
+
     def test_wrap_into_half_open_interval(self):
         assert wrap_phase(np.pi) == pytest.approx(np.pi)
         assert wrap_phase(-np.pi) == pytest.approx(np.pi)
