@@ -248,52 +248,42 @@ def is_gauge_invariant(op: LinearOperator, grid: GridSpec) -> bool:
 
 @dataclass(frozen=True)
 class Region:
-    """Axis-aligned square block of sites, not wrapping the boundary."""
+    """Axis-aligned ``size x size`` block of sites whose top-left site is
+    ``origin``, not wrapping the boundary."""
 
     origin: Site
-    width: int
-    height: int
+    size: int
 
     def __post_init__(self):
-        if self.width != self.height:
-            raise ValueError("regions are square")
-        if self.width < 3:
+        if self.size < 3:
             raise ValueError("need M >= 3 for a nonempty interior")
-
-    @classmethod
-    def square(cls, origin: Site, size: int) -> "Region":
-        return cls(tuple(origin), size, size)
-
-    @property
-    def size(self) -> int:
-        return self.width
 
     def validate_on(self, grid: GridSpec) -> None:
         i0, j0 = self.origin
         n = grid.n
-        if not (0 <= i0 and 0 <= j0 and i0 + self.height <= n and j0 + self.width <= n):
+        if not (0 <= i0 and 0 <= j0 and i0 + self.size <= n and j0 + self.size <= n):
             raise ValueError(f"region {self} does not fit on the {n}x{n} grid")
 
     def sites(self) -> list[Site]:
         i0, j0 = self.origin
         return [
             (i0 + di, j0 + dj)
-            for di in range(self.height)
-            for dj in range(self.width)
+            for di in range(self.size)
+            for dj in range(self.size)
         ]
 
     def contains(self, site: Site) -> bool:
         i, j = site
         i0, j0 = self.origin
-        return i0 <= i < i0 + self.height and j0 <= j < j0 + self.width
+        return i0 <= i < i0 + self.size and j0 <= j < j0 + self.size
 
     def stencil_interior_sites(self) -> list[Site]:
         """Sites whose full 4-neighbour stencil stays inside the region."""
         i0, j0 = self.origin
         return [
             (i0 + di, j0 + dj)
-            for di in range(1, self.height - 1)
-            for dj in range(1, self.width - 1)
+            for di in range(1, self.size - 1)
+            for dj in range(1, self.size - 1)
         ]
 
     def boundary_sites(self) -> list[Site]:
@@ -301,7 +291,7 @@ class Region:
 
     def corner_sites(self) -> list[Site]:
         i0, j0 = self.origin
-        m = self.width
+        m = self.size
         return [
             (i0, j0),
             (i0, j0 + m - 1),

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -140,7 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fme_cmd.add_argument("--n", type=int, required=True)
     fme_cmd.add_argument("--a", type=float, default=1.0)
     fme_cmd.add_argument("--sites", required=True, help='colon pair, e.g. "50,40:50,60"')
-    fme_cmd.add_argument("--row", type=int, default=None)
     taus = fme_cmd.add_mutually_exclusive_group()
     taus.add_argument("--tau", type=float, default=0.0)
     taus.add_argument("--sweep-tau", default=None, help="start:stop:step")
@@ -212,14 +211,16 @@ def _cmd_dynamics(cfg: RunConfig) -> int:
         )
 
     h0 = energy(state, source)
+    # rows are kept until the last step passes the drift check, so a
+    # failed run leaves no file
+    rows = ["t,H,max_constraint_residual\n", csv_row(state, h0)]
+    for step in range(1, p["steps"] + 1):
+        state = step_leapfrog(state, source, p["dt"], 1, energy_check=False)
+        h = energy(state, source)
+        _check_drift(h0, h, step)
+        rows.append(csv_row(state, h))
     with open(p["out"], "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t,H,max_constraint_residual\n")
-        fh.write(csv_row(state, h0))
-        for step in range(1, p["steps"] + 1):
-            state = step_leapfrog(state, source, p["dt"], 1, energy_check=False)
-            h = energy(state, source)
-            _check_drift(h0, h, step)
-            fh.write(csv_row(state, h))
+        fh.writelines(rows)
     return 0
 
 
@@ -248,22 +249,14 @@ def _cmd_coulomb(cfg: RunConfig) -> int:
     return 0
 
 
-def _fme_spec(cfg: RunConfig, tau: float) -> ProtocolSpec:
+def _fme_spec(cfg: RunConfig) -> ProtocolSpec:
     p = cfg.params
-    grid = GridSpec(p["n"], p["a"])
-    site_a, site_b = _parse_sites(p["sites"], ":")
-    if p.get("row") is not None and (site_a[0] != p["row"] or site_b[0] != p["row"]):
-        raise UsageError(f"--row {p['row']} disagrees with --sites rows")
-    size = p["region_size"]
-    half = size // 2
+    sites = _parse_sites(p["sites"], ":")
+    if len(sites) != 2:
+        raise UsageError(f"--sites needs two sites, got {len(sites)}")
     try:
         return ProtocolSpec(
-            grid=grid,
-            site_a=site_a,
-            site_b=site_b,
-            region_a=Region.square((site_a[0] - half, site_a[1] - half), size),
-            region_b=Region.square((site_b[0] - half, site_b[1] - half), size),
-            tau=tau,
+            GridSpec(p["n"], p["a"]), *sites, size=p["region_size"], tau=p["tau"]
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -271,7 +264,7 @@ def _fme_spec(cfg: RunConfig, tau: float) -> ProtocolSpec:
 
 def _cmd_fme(cfg: RunConfig) -> int:
     p = cfg.params
-    spec = _fme_spec(cfg, p["tau"])
+    spec = _fme_spec(cfg)
     kernels = load_or_build_kernels(spec.grid, cfg.cache_dir)
     if p["null_test"]:
         ok = embezzlement_null_test(spec, kernels)
@@ -280,7 +273,11 @@ def _cmd_fme(cfg: RunConfig) -> int:
     taus = _parse_sweep(p["sweep_tau"]) if p.get("sweep_tau") else [p["tau"]]
     rows = []
     for tau in taus:
-        trace = run_protocol(_fme_spec(cfg, float(tau)), kernels)
+        try:
+            spec = replace(spec, tau=float(tau))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        trace = run_protocol(spec, kernels)
         rows.append((float(tau), trace.phases, trace.h_sigma_a))
     out = p.get("out")
     lines = ["tau,phi_LL,phi_LR,phi_RL,phi_RR,entropy"]
@@ -306,7 +303,7 @@ def _cmd_algebra(cfg: RunConfig) -> int:
     grid = GridSpec(p["n"], p["a"])
     try:
         i0, j0, m = (int(x) for x in p["region"].split(","))
-        region = Region.square((i0, j0), m)
+        region = Region((i0, j0), m)
         region.validate_on(grid)
     except ValueError as exc:
         raise UsageError(f"bad --region {p['region']!r}: {exc}") from exc

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField, curl_z, dbar, divergence
+from .grid import GridSpec, ScalarField, VectorField, _dbar_values, curl_z, dbar, divergence
 
 __all__ = [
     "UnstableStep",
@@ -109,18 +109,22 @@ def energy(state: PhaseSpaceState, source: SourceConfig) -> float:
     return quad - coupling
 
 
+def _force(qx, qy, source: SourceConfig, a: float):
+    """Momentum equations on raw arrays: with ``b = dbar_x(qy) - dbar_y(qx)``,
+    ``dp_x = -dbar_y(b) + Jx`` and ``dp_y = +dbar_x(b) + Jy``."""
+    b = _dbar_values(qy, "x", a) - _dbar_values(qx, "y", a)
+    fx = -_dbar_values(b, "y", a) + source.jx.values
+    fy = _dbar_values(b, "x", a) + source.jy.values
+    return fx, fy
+
+
 def eom_rhs(
     state: PhaseSpaceState, source: SourceConfig
 ) -> tuple[VectorField, VectorField]:
     """Hamilton equations: dq_s = p_s, dp_x = -dbar_y(b) + Jx,
     dp_y = +dbar_x(b) + Jy."""
-    b = curl_z(state.q)
-    dq = state.p.copy()
-    dp = VectorField(
-        -dbar(b, "y") + source.jx,
-        dbar(b, "x") + source.jy,
-    )
-    return dq, dp
+    fx, fy = _force(state.q.x.values, state.q.y.values, source, state.grid.spacing)
+    return state.p.copy(), VectorField.from_arrays(state.grid, fx, fy)
 
 
 def step_leapfrog(
@@ -149,22 +153,13 @@ def step_leapfrog(
     px = state.p.x.values.copy()
     py = state.p.y.values.copy()
     a = state.grid.spacing
-
-    def kick_force(qx, qy):
-        b = (np.roll(qy, -1, 1) - np.roll(qy, 1, 1)) / (2 * a) - (
-            np.roll(qx, -1, 0) - np.roll(qx, 1, 0)
-        ) / (2 * a)
-        fx = -(np.roll(b, -1, 0) - np.roll(b, 1, 0)) / (2 * a) + source.jx.values
-        fy = (np.roll(b, -1, 1) - np.roll(b, 1, 1)) / (2 * a) + source.jy.values
-        return fx, fy
-
-    fx, fy = kick_force(qx, qy)
+    fx, fy = _force(qx, qy, source, a)
     for _ in range(n_steps):
         px += 0.5 * dt * fx
         py += 0.5 * dt * fy
         qx += dt * px
         qy += dt * py
-        fx, fy = kick_force(qx, qy)
+        fx, fy = _force(qx, qy, source, a)
         px += 0.5 * dt * fx
         py += 0.5 * dt * fy
 

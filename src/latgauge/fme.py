@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from .gaussian import (
+    CONSTRAINT_TOL,
     GaussianFieldState,
     NonNeutralWarning,
     coulomb_energy_shift,
@@ -55,8 +56,6 @@ SPIN_LABELS = {"LL": "uu", "LR": "ud", "RL": "du", "RR": "dd"}
 _SPLIT_DIR = {"L": "left", "R": "right"}
 _MERGE_DIR = {"L": "right", "R": "left"}
 
-_CONSTRAINT_TOL = 1e-9
-
 
 class NotSeparable(Exception):
     """Matter or field parts differ across branches at the final step,
@@ -75,17 +74,19 @@ def _zero_phases():
 class ProtocolSpec:
     """Spatial and timing configuration of one protocol run.
 
-    The two charges start at ``site_a`` and ``site_b`` on a common row,
-    each strictly interior to its region together with its displaced
-    positions two columns away. ``gamma`` and ``gamma_prime`` are the
-    configurable relaxation phases per branch (default zero).
+    The two charges start at ``site_a`` and ``site_b`` on a common row.
+    Regions A and B are the ``size x size`` squares centred on them
+    (origin ``(row - size // 2, col - size // 2)``); each charge,
+    together with its displaced positions two columns away, must be
+    strictly interior to its region, and the regions must be separated.
+    ``gamma`` and ``gamma_prime`` are the configurable relaxation phases
+    per branch (default zero).
     """
 
     grid: GridSpec
     site_a: tuple[int, int]
     site_b: tuple[int, int]
-    region_a: Region
-    region_b: Region
+    size: int = 7
     tau: float = 0.0
     gamma: dict = dataclass_field(default_factory=_zero_phases)
     gamma_prime: dict = dataclass_field(default_factory=_zero_phases)
@@ -93,13 +94,10 @@ class ProtocolSpec:
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau >= 0):
             raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
-        (la, ca), (lb, cb) = self.site_a, self.site_b
-        if la != lb:
+        if self.site_a[0] != self.site_b[0]:
             raise ValueError("both charges must sit on one row")
-        for region, (row, col) in (
-            (self.region_a, self.site_a),
-            (self.region_b, self.site_b),
-        ):
+        regions = (_region_of(self, "A"), _region_of(self, "B"))
+        for region, (row, col) in zip(regions, (self.site_a, self.site_b)):
             region.validate_on(self.grid)
             interior = set(region.stencil_interior_sites())
             for dc in range(-2, 3):
@@ -107,7 +105,7 @@ class ProtocolSpec:
                     raise ValueError(
                         f"site {(row, col + dc)} must be strictly interior to {region}"
                     )
-        if not _separated(self.region_a, self.region_b):
+        if not _separated(*regions):
             raise ValueError("regions must be disjoint and separated")
         for phases in (self.gamma, self.gamma_prime):
             if set(phases) != set(BRANCHES):
@@ -117,15 +115,28 @@ class ProtocolSpec:
         return MatterConfig.from_sites(self.grid, [self.site_a, self.site_b])
 
 
+def _region_of(spec: ProtocolSpec, name: str) -> Region:
+    """Region ``name`` ('A' or 'B'): the ``spec.size`` square centred on
+    that region's starting charge."""
+    if name == "A":
+        row, col = spec.site_a
+    elif name == "B":
+        row, col = spec.site_b
+    else:
+        raise ValueError(f"region must be 'A' or 'B', got {name!r}")
+    half = spec.size // 2
+    return Region((row - half, col - half), spec.size)
+
+
 def _separated(a: Region, b: Region) -> bool:
     # disjoint with one site of clearance, so supports including the
     # magnetic stencils and dressing links cannot touch
     (ai, aj), (bi, bj) = a.origin, b.origin
     return (
-        ai + a.height + 1 <= bi
-        or bi + b.height + 1 <= ai
-        or aj + a.width + 1 <= bj
-        or bj + b.width + 1 <= aj
+        ai + a.size + 1 <= bi
+        or bi + b.size + 1 <= ai
+        or aj + a.size + 1 <= bj
+        or bj + b.size + 1 <= aj
     )
 
 
@@ -134,21 +145,6 @@ class BranchState:
     matter: MatterConfig
     field: GaussianFieldState
     spin_label: str
-
-
-def branch_constraint_residual(branch: BranchState) -> float:
-    """Sourced Gauss-law residual of the branch, restricted to the
-    solvable sector (the excluded-mode components of rho are dropped
-    with the zero modes)."""
-    return gauss_residual(branch.field.shift, density(branch.matter))
-
-
-def _region_of(spec: ProtocolSpec, name: str) -> Region:
-    if name == "A":
-        return spec.region_a
-    if name == "B":
-        return spec.region_b
-    raise ValueError(f"region must be 'A' or 'B', got {name!r}")
 
 
 def dressed_move(
@@ -224,7 +220,7 @@ def _moves(spec, branch, name, directions, regions=("A", "B")) -> BranchState:
     for region in regions:
         letter = name[0] if region == "A" else name[1]
         branch = dressed_move(spec, branch, region, directions[letter])
-    if branch_constraint_residual(branch) > _CONSTRAINT_TOL:
+    if gauss_residual(branch.field.shift, density(branch.matter)) > CONSTRAINT_TOL:
         raise AssertionError(f"dressed state violates the Gauss law in {name}")
     return branch
 
@@ -294,7 +290,7 @@ def run_protocol(spec: ProtocolSpec, kernels: KernelTable) -> ProtocolTrace:
         b = branches[name]
         if b.matter.occupied != reference.matter.occupied:
             raise NotSeparable(f"matter configurations differ in branch {name}")
-        if (b.field.shift - reference.field.shift).max_abs() > _CONSTRAINT_TOL:
+        if (b.field.shift - reference.field.shift).max_abs() > CONSTRAINT_TOL:
             raise NotSeparable(f"field shifts differ in branch {name}")
 
     final_spin = np.array(

@@ -36,7 +36,8 @@ __all__ = [
     "gauss_residual",
 ]
 
-CONSTRAINT_TOL = 1e-8
+# the Gauss-law residual bound every background and dressed state meets
+CONSTRAINT_TOL = 1e-9
 
 
 class NonNeutralWarning(UserWarning):

@@ -85,6 +85,74 @@ class TestParseSweep:
             _parse_sweep(":".join(text))
 
 
+_INTS = st.integers(-10**6, 10**6)
+# a chunk that is not two comma-separated integers
+_MALFORMED_CHUNK = st.one_of(
+    _INTS.map(str),
+    st.tuples(_INTS, _INTS, _INTS).map(lambda t: ",".join(map(str, t))),
+    st.tuples(
+        _INTS.map(str),
+        st.sampled_from(["", "x", "1.5", "1e3", "nan", "0x1", "+-1", "1 2"]),
+        st.booleans(),
+    ).map(lambda t: f"{t[0]},{t[1]}" if t[2] else f"{t[1]},{t[0]}"),
+)
+
+
+def _format(pairs, sep, pad):
+    return sep.join(f"{pad}{i},{pad}{j}{pad}" for i, j in pairs)
+
+
+class TestParseSitesAndPairs:
+    """``_parse_sites`` and ``_parse_pairs`` read back what they are given,
+    and reject anything else with ``UsageError`` alone."""
+
+    @given(
+        pairs=st.lists(st.tuples(_INTS, _INTS), min_size=1, max_size=8, unique=True),
+        sep=st.sampled_from([":", ";"]),
+        pad=st.sampled_from(["", " "]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, pairs, sep, pad):
+        assert cli._parse_sites(_format(pairs, sep, pad), sep) == pairs
+        assert cli._parse_pairs(_format(pairs, ";", pad)) == pairs
+
+    @given(
+        pairs=st.lists(st.tuples(_INTS, _INTS), max_size=6),
+        bad=_MALFORMED_CHUNK,
+        where=st.integers(0, 6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_chunk_is_usage_error(self, pairs, bad, where):
+        chunks = [f"{i},{j}" for i, j in pairs]
+        chunks.insert(min(where, len(chunks)), bad)
+        with pytest.raises(UsageError):
+            cli._parse_sites(":".join(chunks), ":")
+        with pytest.raises(UsageError):
+            cli._parse_pairs(";".join(chunks))
+
+    @given(
+        sites=st.lists(st.tuples(_INTS, _INTS), min_size=1, max_size=6, unique=True),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_duplicated_site_is_usage_error(self, sites, data):
+        i, j = data.draw(st.sampled_from(sites))
+        chunks = [f"{a},{b}" for a, b in sites]
+        chunks.insert(data.draw(st.integers(0, len(chunks))), f" {i} , {j} ")
+        with pytest.raises(UsageError, match="duplicate"):
+            cli._parse_sites(":".join(chunks), ":")
+
+    @given(text=st.text(max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_parses_or_is_usage_error(self, text):
+        for parse in (lambda t: cli._parse_sites(t, ":"), cli._parse_pairs):
+            try:
+                out = parse(text)
+            except UsageError:
+                continue
+            assert out and all(type(i) is int and type(j) is int for i, j in out)
+
+
 class TestNumericArguments:
     """Non-finite and out-of-range numbers are usage errors (exit 2)."""
 
@@ -221,7 +289,7 @@ class TestOverflow:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: energy drifted") and err.count("\n") == 1
-        assert "nan" not in out.read_text()
+        assert not out.exists()
 
 
 class TestDynamicsCommand:
@@ -311,8 +379,8 @@ class TestFmeCommand:
     def test_single_row(self, tmp_path):
         out = tmp_path / "fme.csv"
         code = run(
-            ["fme", "--n", "25", "--sites", "12,7:12,17", "--row", "12",
-             "--tau", "3.0", "--out", str(out)],
+            ["fme", "--n", "25", "--sites", "12,7:12,17", "--tau", "3.0",
+             "--out", str(out)],
             tmp_path,
         )
         assert code == 0
@@ -352,16 +420,40 @@ class TestFmeCommand:
         assert out.startswith("tau,phi_LL")
 
     def test_row_mismatch_is_usage_error(self, tmp_path):
-        code = run(
-            ["fme", "--n", "25", "--sites", "12,7:12,17", "--row", "11"], tmp_path
-        )
-        assert code == 2
+        # there is no --row option: --sites already fixes the row
+        for row in ("11", "12"):
+            code = run(
+                ["fme", "--n", "25", "--sites", "12,7:12,17", "--row", row], tmp_path
+            )
+            assert code == 2
 
     def test_sites_too_close_is_usage_error(self, tmp_path):
         code = run(
             ["fme", "--n", "25", "--sites", "12,7:12,12"], tmp_path
         )
         assert code == 2
+
+    @pytest.mark.parametrize("sites", ["12,7", "12,7:12,17:12,20"])
+    def test_site_count_is_usage_error(self, tmp_path, capsys, sites):
+        code = run(["fme", "--n", "25", "--sites", sites], tmp_path)
+        assert code == 2
+        assert "needs two sites" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["2", "5", "-3"])
+    def test_region_size_is_usage_error(self, tmp_path, size):
+        code = run(
+            ["fme", "--n", "25", "--sites", "12,7:12,17", "--region-size", size],
+            tmp_path,
+        )
+        assert code == 2
+
+    def test_negative_sweep_start_is_usage_error(self, tmp_path, capsys):
+        code = run(
+            ["fme", "--n", "25", "--sites", "12,7:12,17", "--sweep-tau=-1:1:1"],
+            tmp_path,
+        )
+        assert code == 2
+        assert "nonnegative" in capsys.readouterr().err
 
 
 class TestAlgebraCommand:

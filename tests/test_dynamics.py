@@ -167,6 +167,24 @@ class TestLeapfrog:
         after = constraint_residual(out, source)
         assert (after - before).max_abs() < 1e-9
 
+    def test_one_step_is_kick_drift_kick_of_eom_rhs(self):
+        # the stepper's force and the equations of motion are one force
+        grid = GridSpec(8, 1.0)
+        rng = np.random.default_rng(17)
+        rho, jx, jy = (ScalarField(grid, rng.standard_normal(grid.shape)) for _ in range(3))
+        source = SourceConfig(rho, jx, jy)
+        state = random_state(grid, 18)
+        dt = 0.05
+        _dq, dp = eom_rhs(state, source)
+        p_half = state.p + 0.5 * dt * dp
+        q1 = state.q + dt * p_half
+        _dq, dp1 = eom_rhs(PhaseSpaceState(q1, p_half), source)
+        p1 = p_half + 0.5 * dt * dp1
+        out = step_leapfrog(state, source, dt, 1)
+        for got, want in ((out.q, q1), (out.p, p1)):
+            np.testing.assert_array_equal(got.x.values, want.x.values)
+            np.testing.assert_array_equal(got.y.values, want.y.values)
+
     def test_unstable_step_raises(self):
         grid = GridSpec(16, 1.0)
         state = random_state(grid, 6)

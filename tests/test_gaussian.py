@@ -4,7 +4,6 @@ bookkeeping."""
 import numpy as np
 import pytest
 
-from latgauge.algebra import Region
 from latgauge.fme import BRANCHES, ProtocolSpec, run_protocol
 from latgauge.gaussian import (
     GaussianFieldState,
@@ -230,14 +229,7 @@ class TestProtocolPhases:
         grid = GridSpec(n, 1.0)
         kernels = build_kernels(grid)
         row, col_a, d = n // 2, n // 2 - 5, 10
-        spec = ProtocolSpec(
-            grid=grid,
-            site_a=(row, col_a),
-            site_b=(row, col_a + d),
-            region_a=Region.square((row - 3, col_a - 3), 7),
-            region_b=Region.square((row - 3, col_a + d - 3), 7),
-            tau=tau,
-        )
+        spec = ProtocolSpec(grid, (row, col_a), (row, col_a + d), size=7, tau=tau)
         trace = run_protocol(spec, kernels)
         separation = {"LL": d, "LR": d + 4, "RL": d - 4, "RR": d}
         for name in BRANCHES:

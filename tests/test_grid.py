@@ -15,6 +15,7 @@ from latgauge.grid import (
     curl_z,
     dbar,
     divergence,
+    _values_from_rows,
     sum_by_parts_residual,
 )
 
@@ -216,6 +217,40 @@ class TestSerialization:
         self.write_rows(path, fmt, self.ROWS[::-1])
         reader = ScalarField.from_csv if fmt == "csv" else ScalarField.from_json
         np.testing.assert_array_equal(reader(path).values, np.arange(9.0).reshape(3, 3))
+
+    @given(n=st.integers(3, 6), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_in_any_order_round_trip(self, n, data):
+        grid = GridSpec(n, 1.0)
+        values = data.draw(arrays(float, grid.shape, elements=st.floats(-1e6, 1e6)))
+        rows = [(i, j, float(values[i, j])) for i in range(n) for j in range(n)]
+        rows = data.draw(st.permutations(rows))
+        np.testing.assert_array_equal(_values_from_rows(grid, rows), values)
+
+    @given(
+        n=st.integers(3, 6),
+        defect=st.sampled_from(["missing", "duplicated", "off-grid", "non-numeric"]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_defective_row_set_raises(self, n, defect, data):
+        grid = GridSpec(n, 1.0)
+        rows = data.draw(
+            st.permutations([(i, j, float(i * n + j)) for i in range(n) for j in range(n)])
+        )
+        k = data.draw(st.integers(0, n * n - 1))
+        i, j, v = rows[k]
+        if defect == "missing":
+            del rows[k]
+        elif defect == "duplicated":
+            rows[k] = rows[(k + 1) % (n * n)]
+        elif defect == "off-grid":
+            far = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=n)))
+            rows[k] = (far, j, v) if data.draw(st.booleans()) else (i, far, v)
+        else:
+            rows[k] = (i, j, data.draw(st.sampled_from([None, "1.0", True, [1.0]])))
+        with pytest.raises(ValueError):
+            _values_from_rows(grid, rows)
 
     @pytest.mark.parametrize("bad", [(1, 0), (1, 0, 3.0, 9)], ids=["two-fields", "four-fields"])
     def test_csv_rejects_row_without_three_fields(self, tmp_path, bad):
