@@ -5,7 +5,8 @@ Subpackage map:
 
 - ``grid``: lattice geometry, field containers, discrete calculus
 - ``spectral``: DFT convention, wave vectors, kernels G and D
-- ``dynamics``: Hamiltonian, equations of motion, leapfrog, gauge moves
+- ``dynamics``: Hamiltonian, equations of motion, leapfrog and its
+  streamed (t, H, Gauss residual) trajectory, gauge moves
 - ``gaussian``: Gaussian ground states, Coulomb background, energies
 - ``matter``: qubit-per-site charges and ladder moves
 - ``algebra``: exact operator algebra, local centers, edge terms
@@ -41,6 +42,7 @@ from .dynamics import (
     eom_rhs,
     gauge_transform,
     step_leapfrog,
+    trajectory,
 )
 from .gaussian import (
     GaussianFieldState,

@@ -1,6 +1,7 @@
 """Classical Hamiltonian dynamics in the temporal gauge: energy,
 equations of motion, the sourced Gauss-law residual, symplectic time
-stepping, and state-level gauge transformations.
+stepping, streamed (t, H, Gauss residual) trajectories, and state-level
+gauge transformations.
 
 The temporal gauge is hard-coded: the scalar potential component is
 fixed to zero and never represented. Units follow the m = 1, kappa a^2
@@ -13,7 +14,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField, _dbar_values, curl_z, dbar, divergence
+from .grid import (
+    GridSpec,
+    ScalarField,
+    VectorField,
+    _curl_values,
+    _dbar_values,
+    _divergence_values,
+    curl_z,
+    dbar,
+    divergence,
+)
 
 __all__ = [
     "UnstableStep",
@@ -22,6 +33,7 @@ __all__ = [
     "energy",
     "eom_rhs",
     "step_leapfrog",
+    "trajectory",
     "constraint_residual",
     "gauge_transform",
 ]
@@ -98,24 +110,26 @@ def energy(state: PhaseSpaceState, source: SourceConfig) -> float:
     whose value is conserved along the equations of motion used here; it
     coincides with the quadratic Hamiltonian whenever J = 0.
     """
-    b = curl_z(state.q)
-    quad = 0.5 * float(
-        np.sum(state.p.x.values**2 + state.p.y.values**2 + b.values**2)
-    )
-    coupling = float(
-        np.sum(source.jx.values * state.q.x.values)
-        + np.sum(source.jy.values * state.q.y.values)
-    )
+    q, p = state.q, state.p
+    b = curl_z(q)
+    return _energy(q.x.values, q.y.values, p.x.values, p.y.values, b.values, source)
+
+
+def _energy(qx, qy, px, py, b, source: SourceConfig) -> float:
+    """``energy`` on raw arrays, with ``b`` the curl of q."""
+    quad = 0.5 * float(np.sum(px**2 + py**2 + b**2))
+    coupling = float(np.sum(source.jx.values * qx) + np.sum(source.jy.values * qy))
     return quad - coupling
 
 
 def _force(qx, qy, source: SourceConfig, a: float):
     """Momentum equations on raw arrays: with ``b = dbar_x(qy) - dbar_y(qx)``,
-    ``dp_x = -dbar_y(b) + Jx`` and ``dp_y = +dbar_x(b) + Jy``."""
-    b = _dbar_values(qy, "x", a) - _dbar_values(qx, "y", a)
+    ``dp_x = -dbar_y(b) + Jx`` and ``dp_y = +dbar_x(b) + Jy``. Returns
+    ``(fx, fy, b)``."""
+    b = _curl_values(qx, qy, a)
     fx = -_dbar_values(b, "y", a) + source.jx.values
     fy = _dbar_values(b, "x", a) + source.jy.values
-    return fx, fy
+    return fx, fy, b
 
 
 def eom_rhs(
@@ -123,7 +137,7 @@ def eom_rhs(
 ) -> tuple[VectorField, VectorField]:
     """Hamilton equations: dq_s = p_s, dp_x = -dbar_y(b) + Jx,
     dp_y = +dbar_x(b) + Jy."""
-    fx, fy = _force(state.q.x.values, state.q.y.values, source, state.grid.spacing)
+    fx, fy, _b = _force(state.q.x.values, state.q.y.values, source, state.grid.spacing)
     return state.p.copy(), VectorField.from_arrays(state.grid, fx, fy)
 
 
@@ -144,24 +158,10 @@ def step_leapfrog(
         If the final energy differs from the initial energy by more than
         1% of |H0|, the signature of dt exceeding the stability limit.
     """
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
-    qx = state.q.x.values.copy()
-    qy = state.q.y.values.copy()
-    px = state.p.x.values.copy()
-    py = state.p.y.values.copy()
-    a = state.grid.spacing
-    fx, fy = _force(qx, qy, source, a)
-    for _ in range(n_steps):
-        px += 0.5 * dt * fx
-        py += 0.5 * dt * fy
-        qx += dt * px
-        qy += dt * py
-        fx, fy = _force(qx, qy, source, a)
-        px += 0.5 * dt * fx
-        py += 0.5 * dt * fy
+    _check_step_args(dt, n_steps)
+    qx, qy, px, py = _arrays(state)
+    for _b in _kick_drift_kick(qx, qy, px, py, source, dt, n_steps, state.grid.spacing):
+        pass
 
     grid = state.grid
     out = PhaseSpaceState(
@@ -172,6 +172,69 @@ def step_leapfrog(
     if energy_check:
         _check_drift(energy(state, source), energy(out, source), n_steps)
     return out
+
+
+def trajectory(state: PhaseSpaceState, source: SourceConfig, dt: float, n_steps: int):
+    """Yield ``(t, H, max|div p + rho|)`` for steps 0..n_steps of the
+    kick-drift-kick leapfrog that ``step_leapfrog`` runs, row by row.
+
+    Row 0 is the input state; no state or row is kept. Sources must be
+    static, as for ``step_leapfrog``.
+
+    Raises
+    ------
+    ValueError
+        On a ``dt`` that is not finite and positive or a negative
+        ``n_steps`` (at the first row).
+    UnstableStep
+        At the first row whose H differs from the initial H by more than
+        1% of |H0|.
+    """
+    _check_step_args(dt, n_steps)
+    h0 = energy(state, source)
+    t = float(state.time)
+    yield t, h0, constraint_residual(state, source).max_abs()
+    qx, qy, px, py = _arrays(state)
+    a = state.grid.spacing
+    rho = source.rho.values
+    steps = _kick_drift_kick(qx, qy, px, py, source, dt, n_steps, a)
+    for step, b in enumerate(steps, start=1):
+        t += dt  # the time step_leapfrog gives, one step at a time
+        h = _energy(qx, qy, px, py, b, source)
+        _check_drift(h0, h, step)
+        yield t, h, float(np.max(np.abs(_divergence_values(px, py, a) + rho)))
+
+
+def _check_step_args(dt: float, n_steps: int) -> None:
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+
+
+def _arrays(state: PhaseSpaceState):
+    """Fresh copies of ``(qx, qy, px, py)`` for the stepper to mutate."""
+    q, p = state.q, state.p
+    return q.x.values.copy(), q.y.values.copy(), p.x.values.copy(), p.y.values.copy()
+
+
+def _kick_drift_kick(
+    qx, qy, px, py, source: SourceConfig, dt: float, n_steps: int, a: float
+):
+    """The leapfrog loop: ``n_steps`` kick-drift-kick steps in place on
+    the four arrays, one force per step (the end-of-step force is the
+    next step's first kick). Yields the curl ``b`` of q after each
+    step."""
+    fx, fy, _b = _force(qx, qy, source, a)
+    for _ in range(n_steps):
+        px += 0.5 * dt * fx
+        py += 0.5 * dt * fy
+        qx += dt * px
+        qy += dt * py
+        fx, fy, b = _force(qx, qy, source, a)
+        px += 0.5 * dt * fx
+        py += 0.5 * dt * fy
+        yield b
 
 
 def _check_drift(h0: float, h1: float, n_steps: int) -> None:

@@ -229,16 +229,32 @@ def _check_same_grid(a, b) -> None:
 
 
 def _dbar_values(values: np.ndarray, direction: str, spacing: float) -> np.ndarray:
+    """``(v[j+1] - v[j-1]) / (2a)`` along one axis, indices wrapped mod N:
+    the interior by one slice subtraction, the two wrapped edges by one
+    each, then one in-place divide. This is the arithmetic of
+    ``(np.roll(v, -1) - np.roll(v, 1)) / (2a)`` without the two copies."""
+    out = np.empty_like(values)
     # x: neighbours along columns (axis 1); y: along rows (axis 0)
     if direction == "x":
-        axis = 1
+        np.subtract(values[:, 2:], values[:, :-2], out=out[:, 1:-1])
+        np.subtract(values[:, 1], values[:, -1], out=out[:, 0])
+        np.subtract(values[:, 0], values[:, -2], out=out[:, -1])
     elif direction == "y":
-        axis = 0
+        np.subtract(values[2:], values[:-2], out=out[1:-1])
+        np.subtract(values[1], values[-1], out=out[0])
+        np.subtract(values[0], values[-2], out=out[-1])
     else:
         raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
-    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (
-        2.0 * spacing
-    )
+    out /= 2.0 * spacing
+    return out
+
+
+def _curl_values(vx: np.ndarray, vy: np.ndarray, spacing: float) -> np.ndarray:
+    return _dbar_values(vy, "x", spacing) - _dbar_values(vx, "y", spacing)
+
+
+def _divergence_values(vx: np.ndarray, vy: np.ndarray, spacing: float) -> np.ndarray:
+    return _dbar_values(vx, "x", spacing) + _dbar_values(vy, "y", spacing)
 
 
 def dbar(field: ScalarField, direction: str) -> ScalarField:
@@ -260,19 +276,16 @@ def curl_z(field: VectorField) -> ScalarField:
     Applied to the gauge potential this is the magnetic field of the
     model; it vanishes identically on pure-gauge configurations.
     """
-    a = field.grid.spacing
     return ScalarField(
-        field.grid,
-        _dbar_values(field.y.values, "x", a) - _dbar_values(field.x.values, "y", a),
+        field.grid, _curl_values(field.x.values, field.y.values, field.grid.spacing)
     )
 
 
 def divergence(field: VectorField) -> ScalarField:
     """Discrete divergence ``dbar_x(v_x) + dbar_y(v_y)``."""
-    a = field.grid.spacing
     return ScalarField(
         field.grid,
-        _dbar_values(field.x.values, "x", a) + _dbar_values(field.y.values, "y", a),
+        _divergence_values(field.x.values, field.y.values, field.grid.spacing),
     )
 
 

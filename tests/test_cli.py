@@ -92,7 +92,11 @@ _MALFORMED_CHUNK = st.one_of(
     st.tuples(_INTS, _INTS, _INTS).map(lambda t: ",".join(map(str, t))),
     st.tuples(
         _INTS.map(str),
-        st.sampled_from(["", "x", "1.5", "1e3", "nan", "0x1", "+-1", "1 2"]),
+        # int() takes the last three (digit groups, full-width and
+        # Arabic-Indic digits); the parsers must not
+        st.sampled_from(
+            ["", "x", "1.5", "1e3", "nan", "0x1", "+-1", "1 2", "1_2", "\uff11\uff12", "\u0663"]
+        ),
         st.booleans(),
     ).map(lambda t: f"{t[0]},{t[1]}" if t[2] else f"{t[1]},{t[0]}"),
 )
@@ -141,6 +145,8 @@ class TestParseSitesAndPairs:
         chunks.insert(data.draw(st.integers(0, len(chunks))), f" {i} , {j} ")
         with pytest.raises(UsageError, match="duplicate"):
             cli._parse_sites(":".join(chunks), ":")
+        with pytest.raises(UsageError, match="duplicate"):
+            cli._parse_pairs(";".join(chunks))
 
     @given(text=st.text(max_size=40))
     @settings(max_examples=300, deadline=None)
@@ -439,6 +445,18 @@ class TestFmeCommand:
         assert code == 2
         assert "needs two sites" in capsys.readouterr().err
 
+    def test_non_ascii_digits_are_usage_error(self, tmp_path, capsys):
+        # int() would read both sites as (12, 7) and (12, 17)
+        out = tmp_path / "fme.csv"
+        code = run(
+            ["fme", "--n", "25", "--sites", "1_2,7:\uff11\uff12,17", "--tau", "1",
+             "--out", str(out)],
+            tmp_path,
+        )
+        assert code == 2
+        assert "bad site" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("size", ["2", "5", "-3"])
     def test_region_size_is_usage_error(self, tmp_path, size):
         code = run(
@@ -492,6 +510,17 @@ class TestContinuumCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "r1,r2,N,value"
         assert len(lines) == 5
+
+    def test_duplicate_pairs_are_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "dlog.csv"
+        code = run(
+            ["continuum", "--check", "d-log", "--n-list", "21,41", "--pairs",
+             "2,4;2,4", "--out", str(out)],
+            tmp_path,
+        )
+        assert code == 2
+        assert "duplicate pairs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_g_scaling_csv(self, tmp_path):
         out = tmp_path / "g.csv"

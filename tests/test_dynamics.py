@@ -1,5 +1,7 @@
 """Hamiltonian, equations of motion, leapfrog stepping, and gauge moves."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from latgauge.dynamics import (
     eom_rhs,
     gauge_transform,
     step_leapfrog,
+    trajectory,
 )
 from latgauge.gaussian import coulomb_momentum
 from latgauge.grid import GridSpec, ScalarField, VectorField, curl_z, dbar, divergence
@@ -227,6 +230,70 @@ class TestLeapfrog:
         grid = GridSpec(5, 1.0)
         with pytest.raises(ValueError, match="n_steps"):
             step_leapfrog(PhaseSpaceState.zero(grid), SourceConfig.vacuum(grid), 0.1, -3)
+
+
+def stepwise_rows(state, source, dt, n_steps):
+    """The oracle of ``trajectory``: one ``step_leapfrog`` step at a time,
+    then ``energy`` and the Gauss residual of the new state."""
+
+    def row(state):
+        return (
+            state.time,
+            energy(state, source),
+            constraint_residual(state, source).max_abs(),
+        )
+
+    rows = [row(state)]
+    for _ in range(n_steps):
+        state = step_leapfrog(state, source, dt, 1, energy_check=False)
+        rows.append(row(state))
+    return rows
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize(
+        "n, a, dt, n_steps", [(8, 1.0, 0.05, 200), (9, 0.7, 0.03, 150), (8, 1.0, 0.05, 0)]
+    )
+    def test_rows_equal_stepwise_oracle(self, n, a, dt, n_steps):
+        # static rho and J both nonzero, so the coupling and the rho term
+        # enter H and the residual; a nonzero start time checks that t
+        # accumulates one step at a time
+        grid = GridSpec(n, a)
+        rng = np.random.default_rng(19)
+        rho, jx, jy = (ScalarField(grid, rng.standard_normal(grid.shape)) for _ in range(3))
+        source = SourceConfig(rho, jx, jy)
+        state = replace(random_state(grid, 20), time=0.3)
+        rows = list(trajectory(state, source, dt, n_steps))
+        assert len(rows) == n_steps + 1
+        assert all(type(x) is float for r in rows for x in r)
+        assert rows == stepwise_rows(state, source, dt, n_steps)
+
+    def test_one_force_per_step(self, monkeypatch):
+        import latgauge.dynamics as dynamics
+
+        calls = []
+        force = dynamics._force
+        monkeypatch.setattr(dynamics, "_force", lambda *a: calls.append(1) or force(*a))
+        grid = GridSpec(8, 1.0)
+        rows = trajectory(random_state(grid), SourceConfig.vacuum(grid), 0.05, 7)
+        assert len(list(rows)) == 8
+        assert len(calls) == 8  # the start force, then one per step
+
+    def test_drift_raises_from_the_generator(self):
+        # the first step overflows H by five orders of magnitude; the
+        # check stops the run before anything overflows to inf or nan
+        grid = GridSpec(4, 1.0)
+        rows = trajectory(random_state(grid, 0), SourceConfig.vacuum(grid), 10.0, 400)
+        assert len(next(rows)) == 3
+        with np.errstate(all="raise"), pytest.raises(UnstableStep, match="over 1 steps"):
+            next(rows)
+
+    @pytest.mark.parametrize("dt, n_steps", [(float("nan"), 1), (0.0, 1), (0.1, -1)])
+    def test_rejects_bad_arguments(self, dt, n_steps):
+        grid = GridSpec(5, 1.0)
+        rows = trajectory(PhaseSpaceState.zero(grid), SourceConfig.vacuum(grid), dt, n_steps)
+        with pytest.raises(ValueError):
+            next(rows)
 
 
 class TestConstraintResidual:

@@ -15,6 +15,7 @@ from latgauge.grid import (
     curl_z,
     dbar,
     divergence,
+    _dbar_values,
     _values_from_rows,
     sum_by_parts_residual,
 )
@@ -98,6 +99,44 @@ class TestDbar:
             lhs = dbar(fg, direction).values
             rhs = mid_g * dbar(f, direction).values + mid_f * dbar(g, direction).values
             assert np.max(np.abs(lhs - rhs)) < 1e-14
+
+
+def roll_dbar(values, direction, spacing):
+    """The stencil as two wrapped copies: the oracle of ``_dbar_values``."""
+    axis = {"x": 1, "y": 0}[direction]
+    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (
+        2.0 * spacing
+    )
+
+
+@st.composite
+def square_arrays(draw):
+    """An N x N float array, N in 3..40, C-ordered, F-ordered or a
+    non-contiguous view into a larger array."""
+    n = draw(st.integers(3, 40))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    shape = (2 * n, 2 * n) if layout == "strided" else (n, n)
+    values = draw(arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)))
+    if layout == "strided":
+        return values[1::2, ::2]
+    return np.asarray(values, order=layout)
+
+
+class TestDbarStencil:
+    """The slice stencil is the roll formula, bit for bit."""
+
+    @given(
+        values=square_arrays(),
+        direction=st.sampled_from(["x", "y"]),
+        spacing=st.floats(1e-6, 1e6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_roll_oracle(self, values, direction, spacing):
+        before = values.copy()
+        got = _dbar_values(values, direction, spacing)
+        assert got.shape == values.shape
+        assert got.tobytes() == roll_dbar(values, direction, spacing).tobytes()
+        assert values.tobytes() == before.tobytes()
 
 
 class TestCurlDivergence:
