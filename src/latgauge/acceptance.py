@@ -248,7 +248,7 @@ def criterion_8_dressing():
     lines = []
     ok = True
     for region, direction in (("A", "left"), ("A", "right"), ("B", "left"), ("B", "right")):
-        start = fme.BranchState(s0, field0, "uu")
+        start = fme.BranchState(s0, field0)
         moved = fme.dressed_move(spec, start, region, direction)
         res = gaussian.gauss_residual(moved.field.shift, matter.density(moved.matter))
         ok = ok and res < 1e-9

@@ -37,7 +37,6 @@ __all__ = [
     "NotSeparable",
     "NotDensityMatrix",
     "BRANCHES",
-    "SPIN_LABELS",
     "ProtocolSpec",
     "BranchState",
     "ProtocolTrace",
@@ -50,7 +49,6 @@ __all__ = [
 ]
 
 BRANCHES = ("LL", "LR", "RL", "RR")
-SPIN_LABELS = {"LL": "uu", "LR": "ud", "RL": "du", "RR": "dd"}
 # a branch letter's move direction when splitting, and the reverse move
 # that merges it back
 _SPLIT_DIR = {"L": "left", "R": "right"}
@@ -58,8 +56,8 @@ _MERGE_DIR = {"L": "right", "R": "left"}
 
 
 class NotSeparable(Exception):
-    """Matter or field parts differ across branches at the final step,
-    the signature of a dressing bug."""
+    """A branch's matter does not return to the start configuration at
+    the final step, the signature of a dressing bug."""
 
 
 class NotDensityMatrix(Exception):
@@ -144,7 +142,6 @@ def _separated(a: Region, b: Region) -> bool:
 class BranchState:
     matter: MatterConfig
     field: GaussianFieldState
-    spin_label: str
 
 
 def dressed_move(
@@ -161,8 +158,8 @@ def dressed_move(
     right move displaces p_x at (row, c+1) by +2a; either choice is
     exactly the shift the two affected Gauss crosses need. ``dressed=False``
     is a test hook that skips the displacement and leaves a unit
-    constraint violation on those two crosses. The spin label is
-    untouched; spin conditioning belongs to the caller.
+    constraint violation on those two crosses. Spin conditioning
+    belongs to the caller.
     """
     reg = _region_of(spec, region)
     occupied_here = sorted(s for s in branch.matter.occupied if reg.contains(s))
@@ -180,23 +177,22 @@ def dressed_move(
 
     new_field = branch.field
     if dressed:
-        a = spec.grid.spacing
-        delta = VectorField.zeros(spec.grid)
-        delta.x.values[row, link_col] = sign * 2.0 * a
+        link = np.zeros(spec.grid.shape)
+        link[row, link_col] = sign * 2.0 * spec.grid.spacing
+        delta = VectorField.from_arrays(spec.grid, link, np.zeros(spec.grid.shape))
         new_field = displace(branch.field, delta)
-    return BranchState(new_matter, new_field, branch.spin_label)
+    return BranchState(new_matter, new_field)
 
 
 @dataclass
 class ProtocolTrace:
-    """Branch-resolved record of a protocol run. ``states_by_step`` maps
-    each step 0..5 to the four (amplitude, BranchState) pairs in branch
-    order; ``phases`` records the evolution phase phi per branch;
-    ``h_sigma_a`` is the entropy of the reduced spin-A state of
-    ``final_spin``, which is the entanglement the protocol generated
-    because the matter and field factors coincide at the endpoints."""
+    """Outcome of a protocol run: ``final_spin`` holds the four branch
+    amplitudes in branch order; ``phases`` records the evolution phase
+    phi per branch; ``h_sigma_a`` is the entropy of the reduced spin-A
+    state of ``final_spin``, which is the entanglement the protocol
+    generated because the matter and field factors coincide at the
+    endpoints."""
 
-    states_by_step: dict
     final_spin: np.ndarray
     phases: dict
     h_sigma_a: float
@@ -210,7 +206,7 @@ def _ground_state(
         # within the sector are consumed, so the uniform mode is benign
         warnings.simplefilter("ignore", NonNeutralWarning)
         state = GaussianFieldState.from_source(rho, kernels)
-    return GaussianFieldState(state.kernel, state.shift, phase=phase)
+    return replace(state, phase=phase)
 
 
 def _moves(spec, branch, name, directions, regions=("A", "B")) -> BranchState:
@@ -225,15 +221,8 @@ def _moves(spec, branch, name, directions, regions=("A", "B")) -> BranchState:
     return branch
 
 
-def _record(trace_states, step, entries):
-    trace_states[step] = list(entries)
-    norm = sum(abs(amp) ** 2 for amp, _ in entries)
-    if abs(norm - 1.0) > 1e-12:
-        raise AssertionError(f"step {step} amplitudes sum to {norm}")
-
-
 def run_protocol(spec: ProtocolSpec, kernels: KernelTable) -> ProtocolTrace:
-    """Execute steps 0-5 and return the full trace.
+    """Execute steps 0-5 and return the branch phases and final spins.
 
     Step 0 prepares the product state: both spins in (up+down)/sqrt(2),
     matter in the two-charge start configuration, field in that sector's
@@ -243,61 +232,46 @@ def run_protocol(spec: ProtocolSpec, kernels: KernelTable) -> ProtocolTrace:
     for time tau; step 4 merges with the opposite dressed moves; step 5
     relaxes back to the start sector adding gamma_prime(s) and factors
     out the spin state.
+
+    The unitaries are U_A (x) U_B conditioned on spin, so the branches
+    never meet before the readout: each one runs steps 1-5 on its own
+    and keeps only its phases, releasing its fields before the next.
     """
     if kernels.grid != spec.grid:
         raise ValueError("kernel table lives on a different grid")
     amp = 0.5 + 0.0j
     s0 = spec.initial_config()
     field0 = _ground_state(density(s0), kernels, phase=0.0)
-    states = {}
-    branches = {n: BranchState(s0, field0, SPIN_LABELS[n]) for n in BRANCHES}
-    _record(states, 0, [(amp, branches[name]) for name in BRANCHES])
-
-    # step 1: spin-conditioned splitting, U = U_A (x) U_B
-    for name in BRANCHES:
-        branches[name] = _moves(spec, branches[name], name, _SPLIT_DIR)
-    _record(states, 1, [(amp, branches[name]) for name in BRANCHES])
-
-    # step 2: relaxation to the branch ground state, phase gamma(s)
-    for name, b in branches.items():
-        phase = wrap_phase(b.field.phase + spec.gamma[name])
-        branches[name] = replace(b, field=_ground_state(density(b.matter), kernels, phase))
-    _record(states, 2, [(amp, branches[name]) for name in BRANCHES])
-
-    # step 3: eigenstate evolution; the vacuum energy is common to all
-    # branches and dropped, leaving phi(s) = -(E_rho(s) - E_0) tau
     phases = {}
-    for name, b in branches.items():
-        e_shift = coulomb_energy_shift(density(b.matter), kernels)
-        phases[name] = wrap_phase(-e_shift * spec.tau)
-        branches[name] = replace(b, field=evolve_phase(b.field, e_shift, spec.tau))
-    _record(states, 3, [(amp, branches[name]) for name in BRANCHES])
-
-    # step 4: spin-conditioned merging, U' = U'_A (x) U'_B
+    final_spin = []
     for name in BRANCHES:
-        branches[name] = _moves(spec, branches[name], name, _MERGE_DIR)
-    _record(states, 4, [(amp, branches[name]) for name in BRANCHES])
+        # step 1: spin-conditioned splitting
+        b = _moves(spec, BranchState(s0, field0), name, _SPLIT_DIR)
 
-    # step 5: relax to the start sector (ground state field0), phase
-    # gamma'(s), then factor
-    for name, b in branches.items():
+        # step 2: relaxation to the branch ground state, phase gamma(s)
+        rho = density(b.matter)
+        phase = wrap_phase(b.field.phase + spec.gamma[name])
+        b = replace(b, field=_ground_state(rho, kernels, phase))
+
+        # step 3: eigenstate evolution; the vacuum energy is common to
+        # all branches and dropped, leaving phi(s) = -(E_rho(s) - E_0) tau
+        e_shift = coulomb_energy_shift(rho, kernels)
+        phases[name] = wrap_phase(-e_shift * spec.tau)
+        b = replace(b, field=evolve_phase(b.field, e_shift, spec.tau))
+
+        # step 4: spin-conditioned merging
+        b = _moves(spec, b, name, _MERGE_DIR)
+        if b.matter.occupied != s0.occupied:
+            raise NotSeparable(f"branch {name} does not return to the start matter")
+
+        # step 5: relax to the start sector (ground state field0), phase
+        # gamma'(s); only the phase differs across branches
         phase = wrap_phase(b.field.phase + spec.gamma_prime[name])
-        branches[name] = replace(b, field=replace(field0, phase=phase))
-    _record(states, 5, [(amp, branches[name]) for name in BRANCHES])
+        final = replace(field0, phase=phase)
+        final_spin.append(amp * np.exp(1j * final.phase))
 
-    reference = branches[BRANCHES[0]]
-    for name in BRANCHES[1:]:
-        b = branches[name]
-        if b.matter.occupied != reference.matter.occupied:
-            raise NotSeparable(f"matter configurations differ in branch {name}")
-        if (b.field.shift - reference.field.shift).max_abs() > CONSTRAINT_TOL:
-            raise NotSeparable(f"field shifts differ in branch {name}")
-
-    final_spin = np.array(
-        [amp * np.exp(1j * branches[name].field.phase) for name in BRANCHES]
-    )
+    final_spin = np.array(final_spin)
     return ProtocolTrace(
-        states_by_step=states,
         final_spin=final_spin,
         phases=phases,
         h_sigma_a=vn_entropy(reduced_spin_a(final_spin)),
@@ -371,7 +345,7 @@ def embezzlement_null_test(
     field0 = _ground_state(density(s0), kernels, phase=0.0)
     ok = True
     for name in BRANCHES:
-        b = BranchState(s0, field0, SPIN_LABELS[name])
+        b = BranchState(s0, field0)
         b = _moves(spec, b, name, _SPLIT_DIR, regions)
         b = _moves(spec, b, name, _MERGE_DIR, regions)
         ok = ok and b.matter.occupied == s0.occupied

@@ -63,7 +63,8 @@ class GridSpec:
 
 
 class ScalarField:
-    """Real-valued function on the grid, stored dense row-major."""
+    """Real-valued function on the grid, stored dense row-major. The
+    field takes ownership of ``values`` and makes it read-only."""
 
     __slots__ = ("grid", "values")
 
@@ -71,6 +72,7 @@ class ScalarField:
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError(f"expected shape {grid.shape}, got {values.shape}")
+        values.flags.writeable = False
         self.grid = grid
         self.values = values
 

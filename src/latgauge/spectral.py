@@ -43,7 +43,8 @@ class NonRealResult(Exception):
 
 
 class FourierField:
-    """Complex mode array indexed by (alpha, beta)."""
+    """Complex mode array indexed by (alpha, beta); the field takes
+    ownership of ``modes`` and makes it read-only."""
 
     __slots__ = ("grid", "modes")
 
@@ -51,6 +52,7 @@ class FourierField:
         modes = np.asarray(modes, dtype=complex)
         if modes.shape != grid.shape:
             raise ValueError(f"expected shape {grid.shape}, got {modes.shape}")
+        modes.flags.writeable = False
         self.grid = grid
         self.modes = modes
 
@@ -136,12 +138,17 @@ class KernelTable:
 
     ``g_values[di, dj]`` is G evaluated at site offset (di, dj); both
     tables are real, even under offset negation mod N, and translation
-    invariant by construction.
+    invariant by construction. The table takes ownership of both arrays
+    and makes them read-only.
     """
 
     grid: GridSpec
     g_values: np.ndarray
     d_values: np.ndarray
+
+    def __post_init__(self):
+        self.g_values.flags.writeable = False
+        self.d_values.flags.writeable = False
 
     def g(self, di: int, dj: int) -> float:
         i, j = self.grid.wrap(di, dj)

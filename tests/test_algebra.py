@@ -439,12 +439,11 @@ class TestSectorLabel:
         rng = np.random.default_rng(0)
         from latgauge.grid import VectorField
 
-        base = VectorField.from_arrays(
-            grid, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
-        )
-        bumped = base.copy()
-        bumped.x.values[10, 10] += 3.0  # outside the region's closure
-        bumped.y.values[9, 11] -= 2.0
+        px, py = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+        base = VectorField.from_arrays(grid, px.copy(), py.copy())
+        px[10, 10] += 3.0  # outside the region's closure
+        py[9, 11] -= 2.0
+        bumped = VectorField.from_arrays(grid, px, py)
         rho = ScalarField.zeros(grid)
         assert sector_label(base, region, rho) == sector_label(bumped, region, rho)
 

@@ -3,11 +3,14 @@ accounting, and the embezzlement null test."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latgauge.fme import (
     BRANCHES,
     BranchState,
     NotDensityMatrix,
+    NotSeparable,
     ProtocolSpec,
     dressed_move,
     embezzlement_null_test,
@@ -48,7 +51,7 @@ def big_spec(tau=0.0, **kwargs):
 
 def start_branch(spec, kernels):
     s0 = spec.initial_config()
-    return BranchState(s0, _ground_state(density(s0), kernels, 0.0), "uu")
+    return BranchState(s0, _ground_state(density(s0), kernels, 0.0))
 
 
 class TestSpecValidation:
@@ -126,17 +129,31 @@ class TestRunProtocol:
         amps = trace.final_spin
         assert np.max(np.abs(amps - 0.5)) < 1e-12  # |+>|+> restored
 
-    def test_branch_bookkeeping(self, small_kernels):
-        trace = run_protocol(small_spec(tau=1.0), small_kernels)
-        for step in range(6):
-            entries = trace.states_by_step[step]
-            assert len(entries) == 4
-            assert abs(sum(abs(a) ** 2 for a, _ in entries) - 1.0) < 1e-12
+    def test_branch_bookkeeping(self, small_kernels, monkeypatch):
+        # one energy shift per branch, each on its own step-2 sector
+        import latgauge.fme as fme
+
+        sectors = []
+        shift = fme.coulomb_energy_shift
+        monkeypatch.setattr(
+            fme,
+            "coulomb_energy_shift",
+            lambda rho, k: sectors.append(rho.values) or shift(rho, k),
+        )
+        run_protocol(small_spec(tau=1.0), small_kernels)
+        assert len(sectors) == 4
+        assert all(np.count_nonzero(rho) == 2 for rho in sectors)
         # four distinct matter configurations between the moves
-        mid_configs = {b.matter.occupied for _a, b in trace.states_by_step[2]}
-        assert len(mid_configs) == 4
-        end_configs = {b.matter.occupied for _a, b in trace.states_by_step[5]}
-        assert len(end_configs) == 1
+        assert len({tuple(np.flatnonzero(rho)) for rho in sectors}) == 4
+
+    def test_unreturned_matter_is_not_separable(self, small_kernels, monkeypatch):
+        # merging in the split direction moves each charge two more
+        # columns, so no branch returns to the start configuration
+        import latgauge.fme as fme
+
+        monkeypatch.setattr(fme, "_MERGE_DIR", fme._SPLIT_DIR)
+        with pytest.raises(NotSeparable, match="branch LL"):
+            run_protocol(small_spec(tau=1.0), small_kernels)
 
     def test_pi_imbalance_reaches_maximal_entropy(self, big_kernels):
         kernels = big_kernels
@@ -194,15 +211,15 @@ class TestRunProtocol:
         monkeypatch.setattr(
             gaussian, "coulomb_momentum", lambda *a: calls.append(a) or solve(*a)
         )
+        gamma = {"LL": -0.7, "LR": 2.5, "RL": 0.1, "RR": 3.0}
         gamma_prime = {"LL": 0.3, "LR": 0.0, "RL": -1.1, "RR": 2.0}
-        trace = run_protocol(small_spec(tau=2.0, gamma_prime=gamma_prime), small_kernels)
+        spec = small_spec(tau=2.0, gamma=gamma, gamma_prime=gamma_prime)
+        trace = run_protocol(spec, small_kernels)
         assert len(calls) == 5
-        (_, start), *_ = trace.states_by_step[0]
-        steps = trace.states_by_step
-        for name, (_, before), (_, after) in zip(BRANCHES, steps[4], steps[5]):
-            assert after.field.shift is start.field.shift
-            expected = before.field.phase + gamma_prime[name]
-            assert abs(wrap_phase(after.field.phase - expected)) < 1e-12
+        # each branch's amplitude carries gamma(s) + phi(s) + gamma'(s)
+        for name, amp in zip(BRANCHES, trace.final_spin):
+            theta = wrap_phase(gamma[name] + trace.phases[name] + gamma_prime[name])
+            assert abs(amp - 0.5 * np.exp(1j * theta)) < 1e-12
 
     def test_entanglement_increase_equals_reduced_entropy(self, small_kernels):
         trace = run_protocol(small_spec(tau=90.0), small_kernels)
@@ -269,3 +286,56 @@ class TestEmbezzlement:
         # generate nothing
         trace = run_protocol(small_spec(tau=0.0), small_kernels)
         assert trace.h_sigma_a < 1e-12
+
+
+@st.composite
+def locc_cases(draw):
+    """A protocol on an odd grid with relaxation phases of product form
+    gamma(s) = gamma_A(s_A) + gamma_B(s_B), and the same for gamma'."""
+    size = draw(st.sampled_from([7, 8, 9]))
+    half = size // 2
+    # the regions need size + 1 columns of separation and must fit
+    n = draw(st.sampled_from(range(2 * size + 1, 42, 2)))
+    sep = draw(st.integers(size + 1, n - size))
+    col_a = draw(st.integers(half, n - size - sep + half))
+    angles = st.floats(-np.pi, np.pi)
+
+    def product_phases():
+        a, b = draw(st.tuples(angles, angles)), draw(st.tuples(angles, angles))
+        side = {"L": 0, "R": 1}
+        return {s: a[side[s[0]]] + b[side[s[1]]] for s in BRANCHES}
+
+    grid = GridSpec(n, draw(st.floats(0.5, 2.0)))
+    row = n // 2
+    return dict(
+        grid=grid,
+        site_a=(row, col_a),
+        site_b=(row, col_a + sep),
+        size=size,
+        gamma=product_phases(),
+        gamma_prime=product_phases(),
+    )
+
+
+class TestLocc:
+    """Local operations alone generate no entanglement; the field's
+    Coulomb energies, read off D at the branch separations, are the only
+    entangling resource."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=locc_cases(), tau=st.floats(0.0, 50.0))
+    def test_entropy_from_d_lookups_alone(self, case, tau):
+        kernels = build_kernels(case["grid"])
+        untouched = run_protocol(ProtocolSpec(**case, tau=0.0), kernels)
+        assert untouched.h_sigma_a < 1e-12
+
+        trace = run_protocol(ProtocolSpec(**case, tau=tau), kernels)
+        d = case["site_b"][1] - case["site_a"][1]
+        separation = {"LL": d, "LR": d + 4, "RL": d - 4, "RR": d}
+        theta = {
+            s: case["gamma"][s]
+            + case["gamma_prime"][s]
+            - tau * (kernels.d(0, 0) + kernels.d(0, separation[s]))
+            for s in BRANCHES
+        }
+        assert trace.h_sigma_a == pytest.approx(entropy_from_phases(theta), abs=1e-9)

@@ -205,8 +205,9 @@ class TestSerialization:
 
     def test_json_round_trip_bit_exact(self, tmp_path):
         grid = GridSpec(5, 1.0)
-        f = random_field(grid, 12)
-        f.values[0, 0] = 0.1 + 0.2  # a value without a short decimal form
+        values = random_field(grid, 12).values.copy()
+        values[0, 0] = 0.1 + 0.2  # a value without a short decimal form
+        f = ScalarField(grid, values)
         path = tmp_path / "field.json"
         f.to_json(path)
         back = ScalarField.from_json(path)
@@ -314,3 +315,62 @@ class TestVectorField:
         assert v.component("y") is v.y
         with pytest.raises(ValueError):
             v.component("z")
+
+
+class TestFrozenValues:
+    """Constructors take ownership of their array and make it read-only,
+    so every value the package hands out is immutable."""
+
+    @staticmethod
+    def frozen_arrays(tmp_path):
+        from latgauge.gaussian import coulomb_momentum
+        from latgauge.matter import MatterConfig, density
+        from latgauge.spectral import (
+            build_kernels,
+            dft_forward,
+            load_kernels,
+            save_kernels,
+        )
+
+        grid = GridSpec(7, 1.0)
+        f = random_field(grid, 5)
+        v = VectorField.from_arrays(grid, np.ones(grid.shape), np.zeros(grid.shape))
+        kernels = build_kernels(grid)
+        save_kernels(kernels, tmp_path / "k.lgk")
+        loaded = load_kernels(tmp_path / "k.lgk")
+        rho = density(MatterConfig.from_sites(grid, [(1, 1)]))
+        dipole = np.zeros(grid.shape)
+        dipole[1, 1], dipole[4, 4] = 1.0, -1.0
+        p = coulomb_momentum(ScalarField(grid, dipole), kernels)
+        return {
+            "constructor": f.values,
+            "zeros": ScalarField.zeros(grid).values,
+            "copy": f.copy().values,
+            "from_arrays": v.x.values,
+            "sum": (f + f).values,
+            "scaled": (2.0 * f).values,
+            "vector_sum": (v + v).y.values,
+            "dbar": dbar(f, "x").values,
+            "divergence": divergence(v).values,
+            "density": rho.values,
+            "coulomb_momentum": p.x.values,
+            "modes": dft_forward(f).modes,
+            "built_g": kernels.g_values,
+            "built_d": kernels.d_values,
+            "loaded_g": loaded.g_values,
+            "loaded_d": loaded.d_values,
+        }
+
+    def test_in_place_writes_raise(self, tmp_path):
+        for name, values in self.frozen_arrays(tmp_path).items():
+            with pytest.raises(ValueError, match="read-only"):
+                values[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                values += 1.0
+            assert not values.flags.writeable, name
+
+    def test_constructor_does_not_copy(self):
+        grid = GridSpec(4, 1.0)
+        values = np.zeros(grid.shape)
+        assert ScalarField(grid, values).values is values
+        assert not values.flags.writeable
