@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate
 
 from .grid import GridSpec
-from .spectral import build_kernels
+from .spectral import build_kernels, kernel_values
 
 __all__ = [
     "ConvergenceSeries",
@@ -79,8 +79,7 @@ def g_scaling_check(n_list, r_over_a: int) -> ConvergenceSeries:
         raise ValueError(f"need r = {r} well below N/2 for every N")
     values = []
     for n in sorted(n_list):
-        table = build_kernels(GridSpec(int(n), 1.0))
-        values.append(r * table.g(0, r))
+        values.append(r * float(kernel_values(GridSpec(int(n), 1.0), 1)[0, r]))
     return ConvergenceSeries(
         tuple(sorted(n_list)), f"r*G(r), r={r}", tuple(values),
         _richardson(sorted(n_list), values),

@@ -94,12 +94,12 @@ class SourceConfig:
     @classmethod
     def vacuum(cls, grid: GridSpec) -> "SourceConfig":
         z = ScalarField.zeros(grid)
-        return cls(z, z.copy(), z.copy())
+        return cls(z, z, z)
 
     @classmethod
     def static(cls, rho: ScalarField) -> "SourceConfig":
         z = ScalarField.zeros(rho.grid)
-        return cls(rho, z, z.copy())
+        return cls(rho, z, z)
 
 
 def energy(state: PhaseSpaceState, source: SourceConfig) -> float:
@@ -138,7 +138,7 @@ def eom_rhs(
     """Hamilton equations: dq_s = p_s, dp_x = -dbar_y(b) + Jx,
     dp_y = +dbar_x(b) + Jy."""
     fx, fy, _b = _force(state.q.x.values, state.q.y.values, source, state.grid.spacing)
-    return state.p.copy(), VectorField.from_arrays(state.grid, fx, fy)
+    return state.p, VectorField.from_arrays(state.grid, fx, fy)
 
 
 def step_leapfrog(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import GridSpec, ScalarField, VectorField, dbar, divergence
-from .spectral import KernelTable, _mode_weights, wave_number_table
+from .spectral import KernelTable, wave_number_table
 
 __all__ = [
     "NonNeutralWarning",
@@ -57,18 +57,25 @@ def wrap_phase(phi: float) -> float:
     return float(np.pi - (np.pi - phi) % (2.0 * np.pi))
 
 
+def _excluded_part(values: np.ndarray):
+    """The part of a density on the |k| = 0 modes. For odd N that is the
+    uniform mode, so the spatial mean. For even N the four sign patterns
+    ``(-1)^(a i + b j)``, a, b in {0, 1}, span exactly the functions that
+    are constant on each of the four parity sublattices, so the part is
+    the mean over the sublattice of each site."""
+    n = values.shape[0]
+    if n % 2:
+        return values.mean()
+    h = n // 2
+    return np.tile(values.reshape(h, 2, h, 2).mean(axis=(0, 2)), (h, h))
+
+
 def solvable_charge_part(rho: ScalarField) -> ScalarField:
     """Project the charge density onto the modes where the Gauss law is
     solvable, dropping its components on the |k| = 0 modes. For odd N
     this subtracts the spatial mean; for even N it also removes the
     three staggered doubler components."""
-    grid = rho.grid
-    if grid.n % 2:
-        return ScalarField(grid, rho.values - rho.values.mean())
-    *_, nonzero = _mode_weights(grid)
-    rho_t = np.fft.fft2(rho.values)
-    rho_t[~nonzero] = 0.0
-    return ScalarField(grid, np.real(np.fft.ifft2(rho_t)))
+    return ScalarField(rho.grid, rho.values - _excluded_part(rho.values))
 
 
 def gauss_residual(p: VectorField, rho: ScalarField) -> float:
@@ -154,7 +161,7 @@ def coulomb_momentum(rho: ScalarField, kernels: KernelTable) -> VectorField:
     grid = kernels.grid
     if rho.grid != grid:
         raise ValueError("rho must live on the kernel grid")
-    excluded = rho.values - solvable_charge_part(rho).values
+    excluded = _excluded_part(rho.values)
     if np.max(np.abs(excluded)) > 1e-12 * max(1.0, np.max(np.abs(rho.values))):
         warnings.warn(
             NonNeutralWarning(

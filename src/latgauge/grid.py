@@ -84,9 +84,6 @@ class ScalarField:
     def constant(cls, grid: GridSpec, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
     def __add__(self, other: "ScalarField") -> "ScalarField":
         _check_same_grid(self, other)
         return ScalarField(self.grid, self.values + other.values)
@@ -196,9 +193,6 @@ class VectorField:
     @classmethod
     def from_arrays(cls, grid: GridSpec, x, y) -> "VectorField":
         return cls(ScalarField(grid, x), ScalarField(grid, y))
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.x.copy(), self.y.copy())
 
     def component(self, name: str) -> ScalarField:
         if name == "x":

@@ -1,5 +1,5 @@
 """Discrete Fourier transform in the lattice convention, discrete wave
-vectors, and the real-space kernels G and D.
+vectors, the real-space kernels G and D, and the D table with its cache.
 
 Conventions: forward transform with unit normalization,
 ``f~[alpha, beta] = sum_ij f[i,j] exp(-i 2pi (i alpha + j beta)/N)``,
@@ -26,6 +26,7 @@ __all__ = [
     "dft_inverse",
     "wave_vector",
     "wave_number_table",
+    "kernel_values",
     "build_kernels",
     "zero_mode_count",
     "save_kernels",
@@ -33,7 +34,9 @@ __all__ = [
     "load_or_build_kernels",
 ]
 
-_CACHE_MAGIC = b"LGK1"
+_CACHE_MAGIC = b"LGK2"
+_HEADER = "<4sIdB"
+_HEADER_SIZE = struct.calcsize(_HEADER)
 _ZERO_TOL = 1e-12
 
 
@@ -119,10 +122,12 @@ def wave_vector(grid: GridSpec, alpha: int, beta: int) -> tuple[float, float]:
 
 
 def wave_number_table(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays (kx, ky, |k|) over all modes, indexed [alpha, beta]."""
+    """Arrays (kx, ky, |k|) over all modes, indexed [alpha, beta]; kx and
+    ky are read-only broadcasts of the 1-D sine table."""
     n, a = grid.n, grid.spacing
     s = np.sin(2.0 * np.pi * np.arange(n) / n) / a
-    ky, kx = np.meshgrid(s, s, indexing="ij")  # ky from alpha, kx from beta
+    kx = np.broadcast_to(s, grid.shape)  # from beta
+    ky = np.broadcast_to(s[:, np.newaxis], grid.shape)  # from alpha
     return kx, ky, np.hypot(kx, ky)
 
 
@@ -133,86 +138,80 @@ def zero_mode_count(grid: GridSpec) -> int:
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Real-space kernels G (1/|k| weights) and D (1/|k|^2 weights) with
-    the zero modes excluded from the defining sums.
+    """Real-space Coulomb kernel D (1/|k|^2 weights) with the zero modes
+    excluded from its defining sum.
 
-    ``g_values[di, dj]`` is G evaluated at site offset (di, dj); both
-    tables are real, even under offset negation mod N, and translation
-    invariant by construction. The table takes ownership of both arrays
-    and makes them read-only.
+    ``d_values[di, dj]`` is D evaluated at site offset (di, dj); the
+    table is real, even under offset negation mod N, and translation
+    invariant by construction. The table takes ownership of the array
+    and makes it read-only.
     """
 
     grid: GridSpec
-    g_values: np.ndarray
     d_values: np.ndarray
 
     def __post_init__(self):
-        self.g_values.flags.writeable = False
         self.d_values.flags.writeable = False
-
-    def g(self, di: int, dj: int) -> float:
-        i, j = self.grid.wrap(di, dj)
-        return float(self.g_values[i, j])
 
     def d(self, di: int, dj: int) -> float:
         i, j = self.grid.wrap(di, dj)
         return float(self.d_values[i, j])
 
 
-def _mode_weights(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Zero-mode-excluded weights over all modes: ``(1/|k|, 1/|k|^2,
-    kept)``, where ``kept`` masks the modes with |k| > 0. The one place
-    that decides which modes are excluded."""
+def _mode_weights(grid: GridSpec, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-mode-excluded weights ``1/|k|^power`` over all modes, and the
+    mask ``kept`` of the modes with |k| > 0. The one place that decides
+    which modes are excluded."""
     *_, kabs = wave_number_table(grid)
-    nonzero = kabs > _ZERO_TOL / grid.spacing
-    safe = np.where(nonzero, kabs, 1.0)
-    inv_k = np.where(nonzero, 1.0 / safe, 0.0)
-    inv_k2 = np.where(nonzero, 1.0 / safe**2, 0.0)
-    return inv_k, inv_k2, nonzero
+    kept = kabs > _ZERO_TOL / grid.spacing
+    safe = np.where(kept, kabs, 1.0)
+    return np.where(kept, 1.0 / safe**power, 0.0), kept
 
 
-def build_kernels(grid: GridSpec, method: str = "fft") -> KernelTable:
-    """Build the kernel tables by summing over all nonzero modes.
+def _assert_even(values: np.ndarray) -> None:
+    # one N^2 temporary: the defect, worked in place; a NaN fails the test
+    defect = np.roll(values[::-1, ::-1], (1, 1), axis=(0, 1))
+    defect -= values
+    scale = max(values.max(), -values.min())
+    if not np.max(np.abs(defect, out=defect)) <= 1e-10 * scale:
+        raise AssertionError("kernel table is not even under offset negation")
 
-    The fast path evaluates the mode sums with an FFT (the kernels are
-    plain inverse transforms of the 1/|k| and 1/|k|^2 mode tables); the
-    direct path performs the defining summation and is kept as the test
-    oracle. Excluded-mode count is asserted on every build.
+
+def kernel_values(grid: GridSpec, power: int, method: str = "fft") -> np.ndarray:
+    """Real-space kernel ``sum_{k != 0} e^{ik.x} / |k|^power / N^2`` at
+    every site offset, indexed [di, dj]: G for power 1, D for power 2.
+
+    The fast path evaluates the mode sum as one FFT; the direct path
+    performs the defining summation and is kept as the test oracle. The
+    excluded-mode count, a real result and evenness under offset
+    negation are asserted on every call. Returns a read-only array.
     """
-    inv_k, inv_k2, nonzero = _mode_weights(grid)
+    weights, kept = _mode_weights(grid, power)
     n = grid.n
-    excluded = n * n - int(np.count_nonzero(nonzero))
+    excluded = n * n - int(np.count_nonzero(kept))
     if excluded != zero_mode_count(grid):
         raise AssertionError(
             f"expected {zero_mode_count(grid)} zero modes, found {excluded}"
         )
     if method == "fft":
         # (1/N^2) sum_ab M[a,b] e^{-i 2pi (di a + dj b)/N} = fft2(M)[di,dj]/N^2
-        g = np.fft.fft2(inv_k) / n**2
-        d = np.fft.fft2(inv_k2) / n**2
+        values = np.fft.fft2(weights) / n**2
     elif method == "direct":
         e = _dft_matrix(n)
-        g = np.einsum("ua,ab,vb->uv", e, inv_k.astype(complex), e) / n**2
-        d = np.einsum("ua,ab,vb->uv", e, inv_k2.astype(complex), e) / n**2
+        values = np.einsum("ua,ab,vb->uv", e, weights.astype(complex), e) / n**2
     else:
         raise ValueError(f"unknown method {method!r}")
-    scale_g = np.max(np.abs(g))
-    scale_d = np.max(np.abs(d))
-    if np.max(np.abs(np.imag(g))) > 1e-10 * scale_g or np.max(
-        np.abs(np.imag(d))
-    ) > 1e-10 * scale_d:
-        raise AssertionError("kernel sums acquired a non-real part")
-    table = KernelTable(grid, np.real(g).copy(), np.real(d).copy())
-    _assert_even(table)
-    return table
+    if np.max(np.abs(values.imag)) > 1e-10 * np.max(np.abs(values)):
+        raise AssertionError("kernel sum acquired a non-real part")
+    values = np.real(values).copy()
+    _assert_even(values)
+    values.flags.writeable = False
+    return values
 
 
-def _assert_even(table: KernelTable) -> None:
-    for values in (table.g_values, table.d_values):
-        flipped = np.roll(values[::-1, ::-1], (1, 1), axis=(0, 1))
-        scale = np.max(np.abs(values))
-        if np.max(np.abs(values - flipped)) > 1e-10 * scale:
-            raise AssertionError("kernel table is not even under offset negation")
+def build_kernels(grid: GridSpec, method: str = "fft") -> KernelTable:
+    """The Coulomb kernel table: D by ``kernel_values`` with power 2."""
+    return KernelTable(grid, kernel_values(grid, 2, method))
 
 
 def _cache_key(grid: GridSpec) -> str:
@@ -220,46 +219,43 @@ def _cache_key(grid: GridSpec) -> str:
 
 
 def save_kernels(table: KernelTable, path) -> None:
-    """Serialize to the binary cache format: magic ``LGK1``, N (u32),
-    a (f64), policy (u8), then N^2 G and N^2 D row-major little-endian
-    doubles."""
-    n = table.grid.n
+    """Serialize to the binary cache format: magic ``LGK2``, N (u32),
+    a (f64), policy (u8), then the N^2 D values as row-major
+    little-endian doubles."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIdB", _CACHE_MAGIC, n, table.grid.spacing, 0))
-        fh.write(table.g_values.astype("<f8").tobytes(order="C"))
-        fh.write(table.d_values.astype("<f8").tobytes(order="C"))
+        fh.write(struct.pack(_HEADER, _CACHE_MAGIC, table.grid.n, table.grid.spacing, 0))
+        np.ascontiguousarray(table.d_values, dtype="<f8").tofile(fh)
 
 
 def load_kernels(path) -> KernelTable:
-    header_size = struct.calcsize("<4sIdB")
+    """Read a table written by ``save_kernels``. A bad magic (including
+    an older format), an unknown policy byte, a payload shorter or longer
+    than N^2 doubles and a table that is not even all raise."""
     with open(path, "rb") as fh:
-        header = fh.read(header_size)
-        if len(header) != header_size:
+        header = fh.read(_HEADER_SIZE)
+        if len(header) != _HEADER_SIZE:
             raise ValueError("truncated kernel cache header")
-        magic, n, a, policy = struct.unpack("<4sIdB", header)
+        magic, n, a, policy = struct.unpack(_HEADER, header)
         if magic != _CACHE_MAGIC:
             raise ValueError(f"bad kernel cache magic {magic!r}")
         if policy != 0:
             raise ValueError(f"unknown zero-mode policy byte {policy}")
-        count = n * n
-        payload = fh.read(2 * count * 8)
-        if len(payload) != 2 * count * 8:
+        grid = GridSpec(int(n), float(a))
+        # sized from the file before reading, so a corrupt N allocates nothing
+        payload = os.fstat(fh.fileno()).st_size - _HEADER_SIZE
+        if payload < 8 * n * n:
             raise ValueError("truncated kernel cache payload")
-    data = np.frombuffer(payload, dtype="<f8")
-    grid = GridSpec(int(n), float(a))
-    table = KernelTable(
-        grid,
-        data[:count].reshape(n, n).copy(),
-        data[count:].reshape(n, n).copy(),
-    )
-    _assert_even(table)
-    return table
+        if payload > 8 * n * n:
+            raise ValueError("trailing bytes after the kernel cache payload")
+        d = np.fromfile(fh, dtype="<f8", count=n * n).reshape(n, n)
+    _assert_even(d)
+    return KernelTable(grid, d)
 
 
 def load_or_build_kernels(grid: GridSpec, cache_dir) -> KernelTable:
     """Fetch the kernel table from the cache directory, rebuilding (and
-    rewriting) transparently when the file is missing, corrupted, or
-    holds a table for another grid."""
+    rewriting) transparently when the file is missing, corrupted, in an
+    older format, or holds a table for another grid."""
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, _cache_key(grid))
     if os.path.exists(path):

@@ -3,6 +3,8 @@ bookkeeping."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latgauge.fme import BRANCHES, ProtocolSpec, run_protocol
 from latgauge.gaussian import (
@@ -13,6 +15,7 @@ from latgauge.gaussian import (
     displace,
     evolve_phase,
     ground_energy,
+    solvable_charge_part,
     wrap_phase,
 )
 from latgauge.grid import GridSpec, ScalarField, VectorField, divergence
@@ -37,11 +40,20 @@ def mode_space_momentum(rho):
     """The background in mode space, ``i k_s rho~ / |k|^2`` with the
     |k| = 0 modes dropped: the oracle of coulomb_momentum."""
     kx, ky, _ = wave_number_table(rho.grid)
-    _, inv_k2, _ = _mode_weights(rho.grid)
+    inv_k2, _ = _mode_weights(rho.grid, 2)
     rho_t = np.fft.fft2(rho.values)
     px = np.real(np.fft.ifft2(1j * kx * rho_t * inv_k2))
     py = np.real(np.fft.ifft2(1j * ky * rho_t * inv_k2))
     return VectorField.from_arrays(rho.grid, px, py)
+
+
+def mode_space_charge_part(rho):
+    """rho with its |k| = 0 mode components zeroed by a round trip through
+    mode space: the oracle of solvable_charge_part."""
+    _, kept = _mode_weights(rho.grid, 2)
+    rho_t = np.fft.fft2(rho.values)
+    rho_t[~kept] = 0.0
+    return np.real(np.fft.ifft2(rho_t))
 
 
 class TestGroundEnergy:
@@ -217,6 +229,24 @@ class TestCoulombMomentum:
         assert np.max(np.abs(mean_only)) > 1e-3
         solvable = solvable_charge_part(rho)
         assert abs(solvable.values.sum()) < 1e-9
+
+
+class TestSolvableChargePart:
+    @given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_mode_space_oracle(self, n, seed):
+        grid = GridSpec(n, 1.0)
+        rng = np.random.default_rng(seed)
+        rho = ScalarField(grid, rng.integers(-3, 4, size=grid.shape).astype(float))
+        fast = solvable_charge_part(rho).values
+        assert np.max(np.abs(fast - mode_space_charge_part(rho))) < 1e-12
+
+    def test_odd_lattice_subtracts_the_mean(self):
+        grid = GridSpec(9, 1.0)
+        rho = neutral_random_charges(grid, 6) + ScalarField.constant(grid, 0.3)
+        np.testing.assert_array_equal(
+            solvable_charge_part(rho).values, rho.values - rho.values.mean()
+        )
 
 
 class TestProtocolPhases:

@@ -328,6 +328,7 @@ class TestFrozenValues:
         from latgauge.spectral import (
             build_kernels,
             dft_forward,
+            kernel_values,
             load_kernels,
             save_kernels,
         )
@@ -345,7 +346,6 @@ class TestFrozenValues:
         return {
             "constructor": f.values,
             "zeros": ScalarField.zeros(grid).values,
-            "copy": f.copy().values,
             "from_arrays": v.x.values,
             "sum": (f + f).values,
             "scaled": (2.0 * f).values,
@@ -355,9 +355,8 @@ class TestFrozenValues:
             "density": rho.values,
             "coulomb_momentum": p.x.values,
             "modes": dft_forward(f).modes,
-            "built_g": kernels.g_values,
+            "kernel_g": kernel_values(grid, 1),
             "built_d": kernels.d_values,
-            "loaded_g": loaded.g_values,
             "loaded_d": loaded.d_values,
         }
 

@@ -1,0 +1,63 @@
+"""A mutation battery: each test plants one defect with one monkeypatch
+and asserts that the named existing check catches it. A mutant that
+survives means that check has gone blind.
+
+The test modules are imported as modules, not their classes, so pytest
+does not collect their tests a second time here.
+"""
+
+import numpy as np
+import pytest
+
+import test_gaussian
+import test_spectral
+from latgauge import acceptance, spectral
+from latgauge.grid import GridSpec
+
+
+def test_power_one_d_fails_criterion_10(monkeypatch):
+    # G in place of D: the backgrounds no longer solve the Gauss law
+    kernel_values = spectral.kernel_values
+    monkeypatch.setattr(
+        spectral,
+        "build_kernels",
+        lambda grid, method="fft": spectral.KernelTable(grid, kernel_values(grid, 1, method)),
+    )
+    with pytest.raises(AssertionError, match="violates the Gauss law"):
+        acceptance.run_criterion("10")
+
+
+def test_rolled_d_fails_mode_space_oracle(monkeypatch):
+    build = spectral.build_kernels
+    monkeypatch.setattr(
+        test_gaussian,
+        "build_kernels",
+        lambda grid: spectral.KernelTable(grid, np.roll(build(grid).d_values, 1, axis=1)),
+    )
+    with pytest.raises(AssertionError):
+        test_gaussian.TestCoulombMomentum().test_matches_mode_space_oracle(15, "neutral")
+
+
+def test_payload_read_one_double_late_fails_evenness(monkeypatch, tmp_path):
+    # each slot takes its successor's double, the first wrapping to the end
+    fromfile = np.fromfile
+    monkeypatch.setattr(
+        np, "fromfile", lambda fh, dtype, count: np.roll(fromfile(fh, dtype=dtype, count=count), -1)
+    )
+    with pytest.raises(AssertionError, match="not even"):
+        test_spectral.TestKernelCache().test_round_trip(tmp_path)
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_kept_zero_mode_fails_zero_mode_count(monkeypatch, n):
+    mode_weights = spectral._mode_weights
+
+    def leaky(grid, power):
+        weights, kept = mode_weights(grid, power)
+        kept = kept.copy()
+        kept[0, 0] = True
+        return weights, kept
+
+    monkeypatch.setattr(spectral, "_mode_weights", leaky)
+    with pytest.raises(AssertionError, match="zero modes"):
+        spectral.build_kernels(GridSpec(n, 1.0))

@@ -1,5 +1,7 @@
 """DFT convention, wave vectors, kernel tables, and the cache format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from latgauge.spectral import (
     build_kernels,
     dft_forward,
     dft_inverse,
+    kernel_values,
     load_kernels,
     load_or_build_kernels,
     save_kernels,
@@ -140,25 +143,29 @@ class TestWaveVector:
 
 class TestKernels:
     def test_evenness(self):
-        table = build_kernels(GridSpec(7, 1.0))
+        grid = GridSpec(7, 1.0)
+        g = kernel_values(grid, 1)
+        table = build_kernels(grid)
         n = 7
         for di in range(n):
             for dj in range(n):
-                assert abs(table.g(di, dj) - table.g(-di, -dj)) < 1e-11
+                assert abs(g[di, dj] - g[-di % n, -dj % n]) < 1e-11
                 assert abs(table.d(di, dj) - table.d(-di, -dj)) < 1e-11
 
     def test_g_origin_closed_form_n3(self):
         # 8 nonzero modes: four with |k| = sin(2pi/3), four sqrt(2) bigger
-        table = build_kernels(GridSpec(3, 1.0))
+        g = kernel_values(GridSpec(3, 1.0), 1)
         expected = (8.0 / 9.0) * (1.0 / np.sqrt(3.0) + 1.0 / np.sqrt(6.0))
-        assert abs(table.g(0, 0) - expected) < 1e-12
+        assert abs(g[0, 0] - expected) < 1e-12
 
     def test_direct_path_agrees_with_fft(self):
         grid = GridSpec(5, 1.0)
-        fast = build_kernels(grid, method="fft")
-        direct = build_kernels(grid, method="direct")
-        assert np.max(np.abs(fast.g_values - direct.g_values)) < 1e-12
-        assert np.max(np.abs(fast.d_values - direct.d_values)) < 1e-12
+        for power in (1, 2):
+            fast = kernel_values(grid, power, method="fft")
+            direct = kernel_values(grid, power, method="direct")
+            assert np.max(np.abs(fast - direct)) < 1e-12
+        direct_table = build_kernels(grid, method="direct")
+        assert np.max(np.abs(build_kernels(grid).d_values - direct_table.d_values)) < 1e-12
 
     def test_d_difference_at_n101(self):
         # dense-mode-sum oracle value; the nearest-neighbour difference
@@ -168,9 +175,18 @@ class TestKernels:
         assert table.d(0, 1) - table.d(0, 2) == pytest.approx(-2.2434513, abs=1e-6)
 
     def test_even_lattice_builds(self):
-        table = build_kernels(GridSpec(8, 1.0))
-        assert np.isfinite(table.g_values).all()
-        assert np.isfinite(table.d_values).all()
+        grid = GridSpec(8, 1.0)
+        assert np.isfinite(kernel_values(grid, 1)).all()
+        assert np.isfinite(build_kernels(grid).d_values).all()
+
+
+def _write_lgk1(path, grid):
+    """A cache file in the older LGK1 layout: the same header, then N^2 G
+    and N^2 D doubles."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIdB", b"LGK1", grid.n, grid.spacing, 0))
+        fh.write(kernel_values(grid, 1).astype("<f8").tobytes())
+        fh.write(kernel_values(grid, 2).astype("<f8").tobytes())
 
 
 class TestKernelCache:
@@ -180,13 +196,29 @@ class TestKernelCache:
         save_kernels(table, path)
         back = load_kernels(path)
         assert back.grid == table.grid
-        np.testing.assert_array_equal(back.g_values, table.g_values)
         np.testing.assert_array_equal(back.d_values, table.d_values)
+
+    def test_loaded_table_is_read_only(self, tmp_path):
+        path = tmp_path / "kern.lgk"
+        save_kernels(build_kernels(GridSpec(5, 1.0)), path)
+        back = load_kernels(path)
+        assert not back.d_values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            back.d_values[0, 0] = 1.0
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "kern.lgk"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError):
+            load_kernels(path)
+
+    def test_unknown_policy_rejected(self, tmp_path):
+        path = tmp_path / "kern.lgk"
+        save_kernels(build_kernels(GridSpec(5, 1.0)), path)
+        data = bytearray(path.read_bytes())
+        data[16] = 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="policy"):
             load_kernels(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
@@ -195,15 +227,40 @@ class TestKernelCache:
         save_kernels(table, path)
         data = path.read_bytes()
         path.write_bytes(data[:-16])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="truncated"):
             load_kernels(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "kern.lgk"
+        save_kernels(build_kernels(GridSpec(5, 1.0)), path)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * 8)
+        with pytest.raises(ValueError, match="trailing"):
+            load_kernels(path)
+
+    def test_non_finite_payload_rejected(self, tmp_path):
+        grid = GridSpec(5, 1.0)
+        load_or_build_kernels(grid, tmp_path)
+        (cache_file,) = tmp_path.iterdir()
+        header = cache_file.read_bytes()[:17]
+        cache_file.write_bytes(header + np.full(25, np.nan).tobytes())
+        with pytest.raises(AssertionError, match="not even"):
+            load_kernels(cache_file)
+        table = load_or_build_kernels(grid, tmp_path)
+        np.testing.assert_array_equal(table.d_values, build_kernels(grid).d_values)
+
+    def test_file_holds_header_and_d_only(self, tmp_path):
+        path = tmp_path / "kern.lgk"
+        save_kernels(build_kernels(GridSpec(1001, 1.0)), path)
+        assert path.stat().st_size == 17 + 8 * 1001**2
+        assert path.read_bytes()[:4] == b"LGK2"
 
     def test_csv_export_mirrors_field_format(self, tmp_path):
         table = build_kernels(GridSpec(5, 1.0))
-        path = tmp_path / "g.csv"
-        ScalarField(table.grid, table.g_values).to_csv(path)
+        path = tmp_path / "d.csv"
+        ScalarField(table.grid, table.d_values).to_csv(path)
         back = ScalarField.from_csv(path)
-        np.testing.assert_array_equal(back.values, table.g_values)
+        np.testing.assert_array_equal(back.values, table.d_values)
 
     def test_load_or_build_recovers_from_corruption(self, tmp_path):
         grid = GridSpec(5, 1.0)
@@ -212,9 +269,22 @@ class TestKernelCache:
         assert len(cache_files) == 1
         cache_files[0].write_bytes(b"garbage")
         rebuilt = load_or_build_kernels(grid, tmp_path)
-        np.testing.assert_array_equal(rebuilt.g_values, first.g_values)
+        np.testing.assert_array_equal(rebuilt.d_values, first.d_values)
         # the rebuilt table was written back out
         assert load_kernels(cache_files[0]).grid == grid
+
+    def test_load_or_build_rewrites_lgk1_as_lgk2(self, tmp_path):
+        grid = GridSpec(9, 1.0)
+        load_or_build_kernels(grid, tmp_path)
+        (cache_file,) = tmp_path.iterdir()
+        _write_lgk1(cache_file, grid)
+        with pytest.raises(ValueError, match="magic"):
+            load_kernels(cache_file)
+        table = load_or_build_kernels(grid, tmp_path)
+        np.testing.assert_array_equal(table.d_values, build_kernels(grid).d_values)
+        assert cache_file.read_bytes()[:4] == b"LGK2"
+        assert cache_file.stat().st_size == 17 + 8 * grid.n**2
+        assert load_kernels(cache_file).grid == grid
 
     def test_load_or_build_rejects_table_for_another_grid(self, tmp_path):
         grid = GridSpec(101, 1.0)

@@ -1,26 +1,29 @@
-"""The public surface: every exported name resolves, and every function
-the benchmark's layer trace wraps still exists."""
+"""The public surface: every exported name resolves, every function the
+benchmark's layer trace wraps still exists, and every argv the benchmark
+generates still parses."""
 
 import importlib
 import importlib.util
 import pkgutil
+import random
 from pathlib import Path
 
 import pytest
 
 import latgauge
+from latgauge.cli import parse_args
 
 MODULES = sorted(
     f"latgauge.{info.name}" for info in pkgutil.iter_modules(latgauge.__path__)
 )
 
 
-def _load_layers():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
-    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+def _load_perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -30,7 +33,9 @@ def test_all_names_resolve(module_name):
     assert missing == []
 
 
-@pytest.mark.parametrize("layer", _load_layers(), ids=lambda layer: layer["layer"])
+@pytest.mark.parametrize(
+    "layer", _load_perfbench("layers").LAYERS, ids=lambda layer: layer["layer"]
+)
 def test_traced_functions_exist(layer):
     module = importlib.import_module(layer["module"])
     for name in layer["spans"] + layer["counts"]:
@@ -42,3 +47,18 @@ def test_nullspace_cache_exists():
     from latgauge import algebra
 
     assert isinstance(algebra._NULLSPACE_CACHE, dict)
+
+
+WORKLOADS = _load_perfbench("workloads")
+
+
+@pytest.mark.parametrize("name", WORKLOADS.NAMES)
+def test_benchmark_argv_parses(name, tmp_path):
+    # a CLI change that breaks this argv would fail every benchmark op
+    workload = WORKLOADS.make(name)
+    workload.prepare(latgauge)
+    out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
+    argv, _expect = workload.make_op(random.Random(11), out, cache)
+    cfg = parse_args(argv)
+    assert cfg.command == name.split("-")[0]
+    assert cfg.cache_dir == cache
