@@ -565,16 +565,10 @@ def in_center_span(op: LinearOperator, region: Region, grid: GridSpec) -> bool:
     )
 
 
-def sector_label(
-    p_field: VectorField, region: Region, rho, grid: GridSpec | None = None
-) -> list[float]:
+def sector_label(p_field: VectorField, region: Region) -> list[float]:
     """Evaluate every center basis element on a classical momentum
     configuration, in center_basis order: the classical shadow of the
-    superselection labels. The charge density identifies the sector the
-    configuration is meant to inhabit (interior cross labels then read
-    -rho at their centers) but does not enter the evaluation itself."""
-    grid = grid or p_field.grid
-    if rho is not None and rho.grid != p_field.grid:
-        raise ValueError("rho must share the p field's grid")
-    basis = center_basis(region, grid)
+    superselection labels. In a sector of charge density rho, the
+    interior cross labels read -rho at their centers."""
+    basis = center_basis(region, p_field.grid)
     return [op.evaluate(p_field=p_field) for op in basis.generators]

@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +40,15 @@ class UsageError(Exception):
     """Invalid command line; main() reports it and exits with code 2."""
 
 
+@contextmanager
+def _usage_errors():
+    """Report a ValueError from checking command-line values as a UsageError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -48,10 +58,7 @@ class RunConfig:
 
 
 def _default_cache_dir() -> str:
-    env = os.environ.get("LATGAUGE_CACHE")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "latgauge")
+    return os.environ.get("LATGAUGE_CACHE") or os.path.join(os.path.expanduser("~"), ".cache", "latgauge")
 
 
 # an optional sign and ASCII digits; int() alone also accepts digit-group
@@ -59,23 +66,26 @@ def _default_cache_dir() -> str:
 _INT = re.compile(r"[+-]?[0-9]+")
 
 
-def _parse_int_pairs(
-    text: str, sep: str, kind: str, form: str
-) -> list[tuple[int, int]]:
-    """Distinct integer pairs from ``sep``-separated ``a,b`` chunks; any
-    other text is a ``UsageError`` naming ``kind`` and ``form``."""
+def _int(text: str) -> int:
+    """argparse type of a single integer option, in the ``_INT`` grammar."""
+    if not _INT.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}, expected ASCII digits")
+    return int(text)
+
+
+def _parse_ints(text: str, sep: str, width: int, kind: str, form: str) -> list[tuple[int, ...]]:
+    """Distinct ``width``-tuples of integers, one per ``sep``-separated
+    chunk of comma-separated integers; any other text is a ``UsageError``
+    naming ``kind`` and ``form``."""
     out = []
     for chunk in text.split(sep):
         chunk = chunk.strip()
         if not chunk:
             continue
-        try:
-            a_str, b_str = (x.strip() for x in chunk.split(","))
-            if not (_INT.fullmatch(a_str) and _INT.fullmatch(b_str)):
-                raise ValueError
-            out.append((int(a_str), int(b_str)))
-        except ValueError as exc:
-            raise UsageError(f"bad {kind} {chunk!r}, expected {form}") from exc
+        fields = [x.strip() for x in chunk.split(",")]
+        if len(fields) != width or not all(_INT.fullmatch(x) for x in fields):
+            raise UsageError(f"bad {kind} {chunk!r}, expected {form}")
+        out.append(tuple(int(x) for x in fields))
     if not out:
         raise UsageError(f"no {kind}s in {text!r}")
     if len(set(out)) != len(out):
@@ -83,12 +93,9 @@ def _parse_int_pairs(
     return out
 
 
-def _parse_sites(text: str, sep: str) -> list[tuple[int, int]]:
-    return _parse_int_pairs(text, sep, "site", "i,j")
-
-
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    return _parse_int_pairs(text, ";", "pair", "r1,r2")
+def _ints(sep: str, width: int, kind: str, form: str):
+    """argparse type of an integer-list option: ``_parse_ints`` in its grammar."""
+    return lambda text: _parse_ints(text, sep, width, kind, form)
 
 
 _MAX_SWEEP_POINTS = 10**6
@@ -110,55 +117,91 @@ def _parse_sweep(text: str) -> np.ndarray:
     return start + step * np.arange(int(span) + 1)
 
 
+def _d_log(n_list, pairs):
+    series = continuum.d_log_check(n_list, pairs)
+    return [(f"{r1},{r2},", f"pair ({r1},{r2}): ", s) for (r1, r2), s in zip(pairs, series)]
+
+
+def _g_scaling(n_list, r):
+    return [(f"{r},", "", continuum.g_scaling_check(n_list, r))]
+
+
+def _kvec(n_list, fraction):
+    if not np.isfinite(fraction):
+        raise UsageError(f"--fraction must be finite, got {fraction}")
+    return [("", "", continuum.kvec_convergence(n_list, fraction))]
+
+
+# --check -> (the option it needs, CSV header, producer of
+# (CSV row prefix, stdout label, series) triples)
+_CHECKS = {
+    "d-log": ("pairs", "r1,r2,N,value", _d_log),
+    "g-scaling": ("r", "r,N,value", _g_scaling),
+    "kvec": ("fraction", "N,value", _kvec),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latgauge",
         description="2D periodic lattice gauge toy model experiments",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
+    parser.add_argument("--seed", type=_int, default=0, help="seed for randomized runs")
     parser.add_argument("--cache-dir", default=None, help="kernel cache directory")
     sub = parser.add_subparsers(dest="command")
 
     dyn = sub.add_parser("dynamics", help="leapfrog trajectory diagnostics")
-    dyn.add_argument("--n", type=int, required=True)
+    dyn.add_argument("--n", type=_int, required=True)
     dyn.add_argument("--a", type=float, default=1.0)
     dyn.add_argument("--dt", type=float, required=True)
-    dyn.add_argument("--steps", type=int, required=True)
+    dyn.add_argument("--steps", type=_int, required=True)
     dyn.add_argument("--out", required=True)
 
     cou = sub.add_parser("coulomb", help="static-source ground state energetics")
-    cou.add_argument("--n", type=int, required=True)
+    cou.add_argument("--n", type=_int, required=True)
     cou.add_argument("--a", type=float, default=1.0)
-    cou.add_argument("--charges", required=True, help='semicolon list, e.g. "50,40;50,60"')
+    cou.add_argument(
+        "--charges", type=_ints(";", 2, "site", "i,j"), required=True,
+        help='semicolon list, e.g. "50,40;50,60"',
+    )
     cou.add_argument("--out", required=True)
 
     fme_cmd = sub.add_parser("fme", help="field-mediated entanglement protocol")
-    fme_cmd.add_argument("--n", type=int, required=True)
+    fme_cmd.add_argument("--n", type=_int, required=True)
     fme_cmd.add_argument("--a", type=float, default=1.0)
-    fme_cmd.add_argument("--sites", required=True, help='colon pair, e.g. "50,40:50,60"')
+    fme_cmd.add_argument(
+        "--sites", type=_ints(":", 2, "site", "i,j"), required=True,
+        help='colon pair, e.g. "50,40:50,60"',
+    )
     taus = fme_cmd.add_mutually_exclusive_group()
     taus.add_argument("--tau", type=float, default=0.0)
-    taus.add_argument("--sweep-tau", default=None, help="start:stop:step")
-    fme_cmd.add_argument("--region-size", type=int, default=7)
+    taus.add_argument("--sweep-tau", type=_parse_sweep, default=None, help="start:stop:step")
+    fme_cmd.add_argument("--region-size", type=_int, default=7)
     fme_cmd.add_argument("--out", default=None)
     fme_cmd.add_argument("--null-test", action="store_true")
 
     alg = sub.add_parser("algebra", help="local algebra centers")
-    alg.add_argument("--n", type=int, required=True)
+    alg.add_argument("--n", type=_int, required=True)
     alg.add_argument("--a", type=float, default=1.0)
-    alg.add_argument("--region", required=True, help="i0,j0,M")
+    alg.add_argument("--region", type=_ints(";", 3, "region", "i0,j0,M"), required=True, help="i0,j0,M")
     alg.add_argument("--dump", required=True)
 
     cont = sub.add_parser("continuum", help="large-lattice convergence checks")
-    cont.add_argument("--check", choices=("d-log", "g-scaling", "kvec"), required=True)
-    cont.add_argument("--n-list", required=True, help="comma list, e.g. 51,101,201")
-    cont.add_argument("--pairs", default=None, help='for d-log: "1,2;2,4"')
-    cont.add_argument("--r", type=int, default=None, help="for g-scaling")
+    cont.add_argument("--check", choices=tuple(_CHECKS), required=True)
+    cont.add_argument(
+        "--n-list", type=_ints(",", 1, "lattice size", "an integer"), required=True,
+        help="comma list of N >= 3, e.g. 51,101,201",
+    )
+    cont.add_argument("--pairs", type=_ints(";", 2, "pair", "r1,r2"), default=None, help='for d-log: "1,2;2,4"')
+    cont.add_argument("--r", type=_int, default=None, help="for g-scaling")
     cont.add_argument("--fraction", type=float, default=None, help="for kvec")
     cont.add_argument("--out", required=True)
 
     st = sub.add_parser("selftest", help="run the acceptance criteria")
-    st.add_argument("--criteria", default=None, help="comma list of numbers")
+    st.add_argument(
+        "--criteria", type=_ints(",", 1, "criterion number", "an integer"), default=None,
+        help="comma list of numbers",
+    )
     return parser
 
 
@@ -171,22 +214,24 @@ def parse_args(argv) -> RunConfig:
         parser.print_usage(sys.stderr)
         raise UsageError("missing subcommand")
     params = {k: v for k, v in vars(ns).items() if k not in ("command", "seed", "cache_dir")}
-    cfg = RunConfig(
-        command=ns.command,
-        params=params,
-        cache_dir=ns.cache_dir or _default_cache_dir(),
-        seed=ns.seed,
-    )
     if "n" in params:
-        try:
+        with _usage_errors():
             GridSpec(params["n"], params.get("a", 1.0))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    return cfg
+    return RunConfig(ns.command, params, ns.cache_dir or _default_cache_dir(), ns.seed)
 
 
 def _float_csv(x: float) -> str:
     return repr(float(x))
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` as ASCII with ``\\n`` line endings to ``path``, or
+    to stdout when ``path`` is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
 
 
 def _cmd_dynamics(cfg: RunConfig) -> int:
@@ -205,19 +250,16 @@ def _cmd_dynamics(cfg: RunConfig) -> int:
         f"{_float_csv(t)},{_float_csv(h)},{_float_csv(res)}\n"
         for t, h, res in trajectory(state, source, p["dt"], p["steps"])
     ]
-    with open(p["out"], "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines(rows)
+    _write(p["out"], "".join(rows))
     return 0
 
 
 def _cmd_coulomb(cfg: RunConfig) -> int:
     p = cfg.params
     grid = GridSpec(p["n"], p["a"])
-    sites = _parse_sites(p["charges"], ";")
-    try:
+    sites = p["charges"]
+    with _usage_errors():
         config = MatterConfig.from_sites(grid, sites)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     kernels = load_or_build_kernels(grid, cfg.cache_dir)
     result = {
         "e0": ground_energy(grid),
@@ -229,70 +271,43 @@ def _cmd_coulomb(cfg: RunConfig) -> int:
         (i1, j1), (i2, j2) = sites
         result["pair_distance"] = float(np.hypot(i2 - i1, j2 - j1))
         result["D_of_d"] = kernels.d(i2 - i1, j2 - j1)
-    with open(p["out"], "w", encoding="ascii") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    _write(p["out"], json.dumps(result, indent=2) + "\n")
     return 0
-
-
-def _fme_spec(cfg: RunConfig) -> ProtocolSpec:
-    p = cfg.params
-    sites = _parse_sites(p["sites"], ":")
-    if len(sites) != 2:
-        raise UsageError(f"--sites needs two sites, got {len(sites)}")
-    try:
-        return ProtocolSpec(
-            GridSpec(p["n"], p["a"]), *sites, size=p["region_size"], tau=p["tau"]
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _cmd_fme(cfg: RunConfig) -> int:
     p = cfg.params
-    spec = _fme_spec(cfg)
+    sites = p["sites"]
+    if len(sites) != 2:
+        raise UsageError(f"--sites needs two sites, got {len(sites)}")
+    with _usage_errors():
+        spec = ProtocolSpec(GridSpec(p["n"], p["a"]), *sites, size=p["region_size"], tau=p["tau"])
     kernels = load_or_build_kernels(spec.grid, cfg.cache_dir)
     if p["null_test"]:
         ok = embezzlement_null_test(spec, kernels)
         print(f"embezzlement null test: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
-    taus = _parse_sweep(p["sweep_tau"]) if p.get("sweep_tau") else [p["tau"]]
-    rows = []
-    for tau in taus:
-        try:
-            spec = replace(spec, tau=float(tau))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        trace = run_protocol(spec, kernels)
-        rows.append((float(tau), trace.phases, trace.h_sigma_a))
-    out = p.get("out")
+    taus = [p["tau"]] if p["sweep_tau"] is None else p["sweep_tau"]
     lines = ["tau,phi_LL,phi_LR,phi_RL,phi_RR,entropy"]
-    for tau, phases, entropy in rows:
-        lines.append(
-            ",".join(
-                [_float_csv(tau)]
-                + [_float_csv(phases[b]) for b in ("LL", "LR", "RL", "RR")]
-                + [_float_csv(entropy)]
-            )
-        )
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    for tau in taus:
+        with _usage_errors():
+            spec = replace(spec, tau=float(tau))
+        trace = run_protocol(spec, kernels)
+        phases = [trace.phases[b] for b in ("LL", "LR", "RL", "RR")]
+        lines.append(",".join(_float_csv(x) for x in (tau, *phases, trace.h_sigma_a)))
+    _write(p["out"], "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_algebra(cfg: RunConfig) -> int:
     p = cfg.params
     grid = GridSpec(p["n"], p["a"])
-    try:
-        i0, j0, m = (int(x) for x in p["region"].split(","))
+    if len(p["region"]) != 1:
+        raise UsageError(f"--region needs one region, got {len(p['region'])}")
+    ((i0, j0, m),) = p["region"]
+    with _usage_errors():
         region = Region((i0, j0), m)
         region.validate_on(grid)
-    except ValueError as exc:
-        raise UsageError(f"bad --region {p['region']!r}: {exc}") from exc
     basis = center_basis(region, grid)
     doc = {
         "n": grid.n,
@@ -315,56 +330,35 @@ def _cmd_algebra(cfg: RunConfig) -> int:
             for op, label in zip(basis.generators, basis.labels)
         ],
     }
-    with open(p["dump"], "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write(p["dump"], json.dumps(doc, indent=2) + "\n")
     return 0
 
 
 def _cmd_continuum(cfg: RunConfig) -> int:
     p = cfg.params
-    try:
-        n_list = [int(x) for x in p["n_list"].split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad --n-list {p['n_list']!r}") from exc
-    check = p["check"]
-    lines = []
-    if check == "d-log":
-        if not p.get("pairs"):
-            raise UsageError("--check d-log needs --pairs")
-        lines.append("r1,r2,N,value")
-        for r1, r2 in _parse_pairs(p["pairs"]):
-            series = continuum.d_log_check(n_list, r1, r2)
-            for n, v in zip(series.n_values, series.values):
-                lines.append(f"{r1},{r2},{n},{_float_csv(v)}")
-            print(f"pair ({r1},{r2}): estimate {series.fit['estimate']!r} rate {series.fit['rate']!r}")
-    elif check == "g-scaling":
-        if p.get("r") is None:
-            raise UsageError("--check g-scaling needs --r")
-        series = continuum.g_scaling_check(n_list, p["r"])
-        lines.append("r,N,value")
-        for n, v in zip(series.n_values, series.values):
-            lines.append(f"{p['r']},{n},{_float_csv(v)}")
-        print(f"estimate {series.fit['estimate']!r} rate {series.fit['rate']!r}")
-    else:
-        if p.get("fraction") is None:
-            raise UsageError("--check kvec needs --fraction")
-        series = continuum.kvec_convergence(n_list, p["fraction"])
-        lines.append("N,value")
-        for n, v in zip(series.n_values, series.values):
-            lines.append(f"{n},{_float_csv(v)}")
-        print(f"estimate {series.fit['estimate']!r} rate {series.fit['rate']!r}")
-    with open(p["out"], "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    n_list = [n for (n,) in p["n_list"]]
+    with _usage_errors():
+        for n in n_list:
+            GridSpec(n)
+    option, header, produce = _CHECKS[p["check"]]
+    if p[option] is None:
+        raise UsageError(f"--check {p['check']} needs --{option}")
+    lines = [header]
+    for prefix, label, series in produce(n_list, p[option]):
+        lines += [f"{prefix}{n},{_float_csv(v)}" for n, v in zip(series.n_values, series.values)]
+        print(f"{label}estimate {series.fit['estimate']!r} rate {series.fit['rate']!r}")
+    _write(p["out"], "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_selftest(cfg: RunConfig) -> int:
     numbers = None
-    if cfg.params.get("criteria"):
-        numbers = {x.strip() for x in cfg.params["criteria"].split(",")}
-    ok = acceptance.run_all(numbers, seed=cfg.seed)
-    return 0 if ok else 1
+    if cfg.params["criteria"]:
+        numbers = {str(c) for (c,) in cfg.params["criteria"]}
+        unknown = numbers.difference(num for num, _name, _func in acceptance.CRITERIA)
+        if unknown:
+            raise UsageError(f"no criterion numbered {', '.join(sorted(unknown))}")
+    return 0 if acceptance.run_all(numbers, seed=cfg.seed) else 1
 
 
 # computational failures: reported in one line with exit code 1

@@ -86,27 +86,34 @@ def g_scaling_check(n_list, r_over_a: int) -> ConvergenceSeries:
     )
 
 
-def d_log_check(n_list, r1: int, r2: int) -> ConvergenceSeries:
-    """Series of [D(r1) - D(r2)] / ln(r2/r1) at fixed a = 1 per N.
+def d_log_check(n_list, pairs) -> list[ConvergenceSeries]:
+    """One series of [D(r1) - D(r2)] / ln(r2/r1) at fixed a = 1 per N for
+    each ``(r1, r2)`` in ``pairs``, in the order given; each N's table is
+    built once for all pairs.
 
     Equal-parity pairs converge to a shared positive constant (the
     logarithmic-kernel coefficient, doubled fourfold by the dispersion's
     doubler corners); mixed-parity pairs pick up the uncancelled doubler
     divergence and grow with N.
     """
-    r1, r2 = int(r1), int(r2)
-    if not (1 <= r1 < r2):
-        raise ValueError("need 1 <= r1 < r2")
-    if not all(r2 < n / 2 for n in n_list):
-        raise ValueError(f"need r2 = {r2} well below N/2 for every N")
-    values = []
+    pairs = [(int(r1), int(r2)) for r1, r2 in pairs]
+    for r1, r2 in pairs:
+        if not (1 <= r1 < r2):
+            raise ValueError("need 1 <= r1 < r2")
+        if not all(r2 < n / 2 for n in n_list):
+            raise ValueError(f"need r2 = {r2} well below N/2 for every N")
+    columns = [[] for _ in pairs]
     for n in sorted(n_list):
         table = build_kernels(GridSpec(int(n), 1.0))
-        values.append((table.d(0, r1) - table.d(0, r2)) / np.log(r2 / r1))
-    return ConvergenceSeries(
-        tuple(sorted(n_list)), f"[D({r1})-D({r2})]/ln({r2}/{r1})", tuple(values),
-        _richardson(sorted(n_list), values),
-    )
+        for values, (r1, r2) in zip(columns, pairs):
+            values.append((table.d(0, r1) - table.d(0, r2)) / np.log(r2 / r1))
+    return [
+        ConvergenceSeries(
+            tuple(sorted(n_list)), f"[D({r1})-D({r2})]/ln({r2}/{r1})", tuple(values),
+            _richardson(sorted(n_list), values),
+        )
+        for values, (r1, r2) in zip(columns, pairs)
+    ]
 
 
 def kvec_convergence(n_list, mode_fraction: float) -> ConvergenceSeries:

@@ -38,6 +38,7 @@ _CACHE_MAGIC = b"LGK2"
 _HEADER = "<4sIdB"
 _HEADER_SIZE = struct.calcsize(_HEADER)
 _ZERO_TOL = 1e-12
+_IMAG_TOL = 1e-10  # largest imaginary residue of an inverse transform, relative
 
 
 class NonRealResult(Exception):
@@ -83,15 +84,13 @@ def dft_forward(field: ScalarField, method: str = "fft") -> FourierField:
     return FourierField(field.grid, modes)
 
 
-def dft_inverse(
-    modes: FourierField, method: str = "fft", imag_tol: float = 1e-10
-) -> ScalarField:
+def dft_inverse(modes: FourierField, method: str = "fft") -> ScalarField:
     """Inverse transform with 1/N^2 normalization.
 
     Raises
     ------
     NonRealResult
-        If the imaginary residue exceeds ``imag_tol`` times the mode
+        If the imaginary residue exceeds 1e-10 (``_IMAG_TOL``) times the mode
         norm; small residue is discarded.
     """
     if method == "fft":
@@ -103,10 +102,8 @@ def dft_inverse(
         raise ValueError(f"unknown method {method!r}")
     scale = np.max(np.abs(modes.modes))
     imag = np.max(np.abs(values.imag))
-    if scale > 0 and imag > imag_tol * scale:
-        raise NonRealResult(
-            f"imaginary residue {imag:.3e} exceeds {imag_tol:.1e} * {scale:.3e}"
-        )
+    if scale > 0 and imag > _IMAG_TOL * scale:
+        raise NonRealResult(f"imaginary residue {imag:.3e} exceeds {_IMAG_TOL:.1e} * {scale:.3e}")
     return ScalarField(modes.grid, values.real)
 
 

@@ -29,7 +29,7 @@ from latgauge.algebra import (
 )
 from latgauge.algebra import _center_catalog, _nullspace, _row, _SparseRref
 from latgauge.gaussian import NonNeutralWarning, coulomb_momentum
-from latgauge.grid import GridSpec, ScalarField
+from latgauge.grid import GridSpec
 from latgauge.matter import MatterConfig, density
 from latgauge.spectral import build_kernels
 
@@ -410,7 +410,7 @@ class TestSectorLabel:
         region = Region((3, 3), 5)
         from latgauge.grid import VectorField
 
-        labels = sector_label(VectorField.zeros(grid), region, ScalarField.zeros(grid))
+        labels = sector_label(VectorField.zeros(grid), region)
         assert labels == [0.0] * len(labels)
 
     def test_interior_charge_reads_minus_rho_on_crosses(self):
@@ -422,7 +422,7 @@ class TestSectorLabel:
         with pytest.warns(NonNeutralWarning):
             p = coulomb_momentum(rho, kernels)
         basis = center_basis(region, grid)
-        values = sector_label(p, region, rho)
+        values = sector_label(p, region)
         mean = 1.0 / grid.n**2  # uniform mode dropped with the zero mode
         edge_seen = 0.0
         for label, value in zip(basis.labels, values):
@@ -444,8 +444,7 @@ class TestSectorLabel:
         px[10, 10] += 3.0  # outside the region's closure
         py[9, 11] -= 2.0
         bumped = VectorField.from_arrays(grid, px, py)
-        rho = ScalarField.zeros(grid)
-        assert sector_label(base, region, rho) == sector_label(bumped, region, rho)
+        assert sector_label(base, region) == sector_label(bumped, region)
 
 
 class TestDressingExponent:

@@ -22,6 +22,14 @@ def run(argv, tmp_path, env_cache=True):
     return main(argv)
 
 
+def assert_usage_error(code, capsys, out=None):
+    """Exit 2 with one ``error:`` line on stderr and no output file."""
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert out is None or not out.exists()
+
+
 class TestParsing:
     def test_coulomb_config(self):
         cfg = parse_args(
@@ -29,7 +37,7 @@ class TestParsing:
         )
         assert isinstance(cfg, RunConfig)
         assert cfg.command == "coulomb"
-        assert cfg.params["charges"] == "50,40;50,60"
+        assert cfg.params["charges"] == [(50, 40), (50, 60)]
 
     def test_tiny_lattice_rejected(self):
         with pytest.raises(UsageError):
@@ -47,6 +55,21 @@ class TestParsing:
             ["--seed", "7", "--cache-dir", "/tmp/k", "selftest"]
         )
         assert cfg.seed == 7 and cfg.cache_dir == "/tmp/k"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seed", "\u0663", "selftest"],
+            ["coulomb", "--n", "1_5", "--charges", "7,5;7,9", "--out", "o.json"],
+            ["fme", "--n", "25", "--sites", "12,7:12,17", "--region-size", "\uff17"],
+            ["continuum", "--check", "g-scaling", "--n-list", "21,41", "--r", "3.0", "--out", "g.csv"],
+        ],
+        ids=["seed", "n", "region-size", "r"],
+    )
+    def test_single_integers_share_the_grammar(self, capsys, argv):
+        # int() would read the first three as 3, 15 and 7
+        assert main(argv) == 2
+        assert "bad integer" in capsys.readouterr().err
 
 
 class TestParseSweep:
@@ -106,9 +129,17 @@ def _format(pairs, sep, pad):
     return sep.join(f"{pad}{i},{pad}{j}{pad}" for i, j in pairs)
 
 
+def _parse_sites(text, sep):
+    return cli._parse_ints(text, sep, 2, "site", "i,j")
+
+
+def _parse_pairs(text):
+    return cli._parse_ints(text, ";", 2, "pair", "r1,r2")
+
+
 class TestParseSitesAndPairs:
-    """``_parse_sites`` and ``_parse_pairs`` read back what they are given,
-    and reject anything else with ``UsageError`` alone."""
+    """``_parse_ints`` reads back the sites and pairs it is given, and
+    rejects anything else with ``UsageError`` alone."""
 
     @given(
         pairs=st.lists(st.tuples(_INTS, _INTS), min_size=1, max_size=8, unique=True),
@@ -117,8 +148,8 @@ class TestParseSitesAndPairs:
     )
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, pairs, sep, pad):
-        assert cli._parse_sites(_format(pairs, sep, pad), sep) == pairs
-        assert cli._parse_pairs(_format(pairs, ";", pad)) == pairs
+        assert _parse_sites(_format(pairs, sep, pad), sep) == pairs
+        assert _parse_pairs(_format(pairs, ";", pad)) == pairs
 
     @given(
         pairs=st.lists(st.tuples(_INTS, _INTS), max_size=6),
@@ -130,9 +161,9 @@ class TestParseSitesAndPairs:
         chunks = [f"{i},{j}" for i, j in pairs]
         chunks.insert(min(where, len(chunks)), bad)
         with pytest.raises(UsageError):
-            cli._parse_sites(":".join(chunks), ":")
+            _parse_sites(":".join(chunks), ":")
         with pytest.raises(UsageError):
-            cli._parse_pairs(";".join(chunks))
+            _parse_pairs(";".join(chunks))
 
     @given(
         sites=st.lists(st.tuples(_INTS, _INTS), min_size=1, max_size=6, unique=True),
@@ -144,19 +175,33 @@ class TestParseSitesAndPairs:
         chunks = [f"{a},{b}" for a, b in sites]
         chunks.insert(data.draw(st.integers(0, len(chunks))), f" {i} , {j} ")
         with pytest.raises(UsageError, match="duplicate"):
-            cli._parse_sites(":".join(chunks), ":")
+            _parse_sites(":".join(chunks), ":")
         with pytest.raises(UsageError, match="duplicate"):
-            cli._parse_pairs(";".join(chunks))
+            _parse_pairs(";".join(chunks))
 
     @given(text=st.text(max_size=40))
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_text_parses_or_is_usage_error(self, text):
-        for parse in (lambda t: cli._parse_sites(t, ":"), cli._parse_pairs):
+        for parse in (lambda t: _parse_sites(t, ":"), _parse_pairs):
             try:
                 out = parse(text)
             except UsageError:
                 continue
             assert out and all(type(i) is int and type(j) is int for i, j in out)
+
+    @given(
+        entries=st.lists(st.tuples(_INTS, _INTS, _INTS), min_size=1, max_size=6, unique=True),
+        width=st.integers(1, 3),
+        pad=st.sampled_from(["", " "]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_width_round_trips(self, entries, width, pad):
+        entries = list(dict.fromkeys(e[:width] for e in entries))
+        text = ";".join(",".join(f"{pad}{x}{pad}" for x in e) for e in entries)
+        assert cli._parse_ints(text, ";", width, "entry", "form") == entries
+        for other in {1, 2, 3} - {width}:
+            with pytest.raises(UsageError, match="bad entry"):
+                cli._parse_ints(text, ";", other, "entry", "form")
 
 
 class TestNumericArguments:
@@ -425,6 +470,13 @@ class TestFmeCommand:
         out = capsys.readouterr().out
         assert out.startswith("tau,phi_LL")
 
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        args = ["fme", "--n", "25", "--sites", "12,7:12,17", "--sweep-tau", "0:2:0.5"]
+        assert run(args, tmp_path) == 0
+        stdout = capsys.readouterr().out
+        assert run(args + ["--out", str(tmp_path / "fme.csv")], tmp_path) == 0
+        assert (tmp_path / "fme.csv").read_bytes() == stdout.encode("ascii")
+
     def test_row_mismatch_is_usage_error(self, tmp_path):
         # there is no --row option: --sites already fixes the row
         for row in ("11", "12"):
@@ -446,16 +498,16 @@ class TestFmeCommand:
         assert "needs two sites" in capsys.readouterr().err
 
     def test_non_ascii_digits_are_usage_error(self, tmp_path, capsys):
-        # int() would read both sites as (12, 7) and (12, 17)
+        # int() would read each as the sites (12, 7) and (12, 17)
         out = tmp_path / "fme.csv"
-        code = run(
-            ["fme", "--n", "25", "--sites", "1_2,7:\uff11\uff12,17", "--tau", "1",
-             "--out", str(out)],
-            tmp_path,
-        )
-        assert code == 2
-        assert "bad site" in capsys.readouterr().err
-        assert not out.exists()
+        for sites in ("1_2,7:12,17", "\uff11\uff12,7:\u0661\u0662,17"):
+            code = run(
+                ["fme", "--n", "25", "--sites", sites, "--tau", "1", "--out", str(out)],
+                tmp_path,
+            )
+            assert code == 2
+            assert "bad site" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("size", ["2", "5", "-3"])
     def test_region_size_is_usage_error(self, tmp_path, size):
@@ -496,6 +548,13 @@ class TestAlgebraCommand:
             tmp_path,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("region", ["\u0662,2,3", "2,2", "2,2,3;3,3,3"])
+    def test_malformed_region_is_usage_error(self, tmp_path, capsys, region):
+        # int() would read the first as the region 2,2,3
+        out = tmp_path / "c.json"
+        code = run(["algebra", "--n", "11", "--region", region, "--dump", str(out)], tmp_path)
+        assert_usage_error(code, capsys, out)
 
 
 class TestContinuumCommand:
@@ -549,6 +608,53 @@ class TestContinuumCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "option, header, prefixes, labels",
+        [
+            (["d-log", "--pairs", "2,4;1,2"], "r1,r2,N,value", ["2,4,", "1,2,"],
+             ["pair (2,4): ", "pair (1,2): "]),
+            (["g-scaling", "--r", "3"], "r,N,value", ["3,"], [""]),
+            (["kvec", "--fraction", "0.05"], "N,value", [""], [""]),
+        ],
+        ids=["d-log", "g-scaling", "kvec"],
+    )
+    def test_rows_and_estimate_lines(self, tmp_path, capsys, option, header, prefixes, labels):
+        # one row per N and one stdout estimate line per series, in order
+        out = tmp_path / "c.csv"
+        code = run(
+            ["continuum", "--n-list", "41,21", "--check"] + option + ["--out", str(out)], tmp_path
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == header
+        assert [row.rsplit(",", 1)[0] for row in lines[1:]] == [
+            f"{prefix}{n}" for prefix in prefixes for n in (21, 41)
+        ]
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split("estimate ")[0] for line in printed] == labels
+
+    @pytest.mark.parametrize("n_list", ["2_0,40", "\u0664\u0660,80", "40,40", "0,4", "2,4"])
+    def test_bad_n_list_is_usage_error(self, tmp_path, capsys, n_list):
+        # at the parent these ran as N = 20 and 40 (exit 0), failed with
+        # exit 1, died of ZeroDivisionError, and wrote a row for N = 2
+        out = tmp_path / "k.csv"
+        code = run(
+            ["continuum", "--check", "kvec", "--n-list", n_list, "--fraction", "0.05",
+             "--out", str(out)],
+            tmp_path,
+        )
+        assert_usage_error(code, capsys, out)
+
+    @pytest.mark.parametrize("fraction", ["nan", "inf"])
+    def test_non_finite_fraction_is_usage_error(self, tmp_path, capsys, fraction):
+        out = tmp_path / "k.csv"
+        code = run(
+            ["continuum", "--check", "kvec", "--n-list", "20,40", "--fraction", fraction,
+             "--out", str(out)],
+            tmp_path,
+        )
+        assert_usage_error(code, capsys, out)
+
 
 class TestSelftestCommand:
     def test_cheap_subset_passes(self, capsys):
@@ -556,6 +662,10 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("[PASS]") == 3
+
+    def test_unknown_criterion_is_usage_error(self, capsys):
+        # the parent ran no criterion and exited 0
+        assert_usage_error(main(["selftest", "--criteria", "99"]), capsys)
 
     def test_seed_independent_truths(self, capsys):
         # different seeds relabel the random draws, not the outcomes

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from latgauge import acceptance, continuum
 from latgauge.continuum import (
     ConvergenceSeries,
     bz_d_difference,
@@ -45,19 +46,19 @@ class TestGScaling:
 
 class TestDLog:
     def test_equal_parity_pairs_share_the_constant(self):
-        v24 = d_log_check(N_LIST, 2, 4).values[-1]
-        v48 = d_log_check(N_LIST, 4, 8).values[-1]
+        v24, v48 = (s.values[-1] for s in d_log_check(N_LIST, [(2, 4), (4, 8)]))
         assert abs(v24 - v48) < 0.02 * abs(v24)
 
     def test_equal_parity_matches_quadrature_oracle(self):
-        lattice = d_log_check([201], 2, 4).values[0]
+        (series,) = d_log_check([201], [(2, 4)])
+        lattice = series.values[0]
         oracle = bz_d_difference(2, 4) / np.log(2.0)
         assert lattice == pytest.approx(oracle, abs=5e-3)
 
     def test_mixed_parity_series_diverges(self):
         # frozen dense-mode-sum values: the (1,2) pair keeps growing with
         # N because its staggered doubler part never cancels
-        series = d_log_check(N_LIST, 1, 2)
+        (series,) = d_log_check(N_LIST, [(1, 2)])
         assert series.values[0] == pytest.approx(-2.609018, abs=1e-4)
         assert series.values[2] == pytest.approx(-3.868684, abs=1e-4)
         diffs = series.successive_differences()
@@ -72,11 +73,28 @@ class TestDLog:
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(ValueError):
-            d_log_check(N_LIST, 2, 2)
+            d_log_check(N_LIST, [(2, 4), (2, 2)])
 
     def test_richardson_fit_reports(self):
-        fit = d_log_check(N_LIST, 2, 4).fit
-        assert np.isfinite(fit["estimate"])
+        (series,) = d_log_check(N_LIST, [(2, 4)])
+        assert np.isfinite(series.fit["estimate"])
+
+    def test_one_table_per_n_for_all_pairs(self, monkeypatch):
+        singles = [d_log_check(N_LIST, [pair])[0] for pair in [(4, 8), (1, 2)]]
+        built = []
+        build = continuum.build_kernels
+        monkeypatch.setattr(continuum, "build_kernels", lambda grid: built.append(grid) or build(grid))
+        # repr: exact floats, and the nan rate of a non-contracting fit
+        assert list(map(repr, d_log_check(N_LIST, [(4, 8), (1, 2)]))) == list(map(repr, singles))
+        assert [grid.n for grid in built] == N_LIST
+
+    def test_criterion_11_builds_each_table_once(self, monkeypatch):
+        built = []
+        build = continuum.build_kernels
+        monkeypatch.setattr(continuum, "build_kernels", lambda grid: built.append(grid) or build(grid))
+        passed, _lines = acceptance.run_criterion("11")
+        assert not passed  # red by construction, see tests/test_acceptance.py
+        assert [grid.n for grid in built] == [51, 101, 201]
 
 
 class TestKvec:

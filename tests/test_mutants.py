@@ -6,12 +6,15 @@ The test modules are imported as modules, not their classes, so pytest
 does not collect their tests a second time here.
 """
 
+import re
+
 import numpy as np
 import pytest
 
+import test_cli
 import test_gaussian
 import test_spectral
-from latgauge import acceptance, spectral
+from latgauge import acceptance, cli, spectral
 from latgauge.grid import GridSpec
 
 
@@ -61,3 +64,56 @@ def test_kept_zero_mode_fails_zero_mode_count(monkeypatch, n):
     monkeypatch.setattr(spectral, "_mode_weights", leaky)
     with pytest.raises(AssertionError, match="zero modes"):
         spectral.build_kernels(GridSpec(n, 1.0))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda tmp, cap: test_cli.TestFmeCommand().test_non_ascii_digits_are_usage_error(tmp, cap),
+        lambda tmp, cap: test_cli.TestAlgebraCommand().test_malformed_region_is_usage_error(
+            tmp, cap, "\u0662,2,3"
+        ),
+        lambda tmp, cap: test_cli.TestContinuumCommand().test_bad_n_list_is_usage_error(
+            tmp, cap, "\u0664\u0660,80"
+        ),
+    ],
+    ids=["sites", "region", "n-list"],
+)
+def test_unicode_digits_fail_non_ascii_tests(monkeypatch, tmp_path, capsys, check):
+    # \d also matches full-width and Arabic-Indic digits, which int() reads
+    monkeypatch.setattr(cli, "_INT", re.compile(r"[+-]?\d+"))
+    with pytest.raises(AssertionError):
+        check(tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda tmp, cap: test_cli.TestContinuumCommand().test_duplicate_pairs_are_usage_error(tmp, cap),
+        lambda tmp, cap: test_cli.TestContinuumCommand().test_bad_n_list_is_usage_error(
+            tmp, cap, "40,40"
+        ),
+    ],
+    ids=["pairs", "n-list"],
+)
+def test_dropped_duplicate_check_fails_duplicate_tests(monkeypatch, tmp_path, capsys, check):
+    parse = cli._parse_ints
+
+    def without_duplicate_check(text, sep, *grammar):
+        # one chunk alone holds no duplicate to find
+        entries = [e for chunk in text.split(sep) if chunk.strip() for e in parse(chunk, sep, *grammar)]
+        return entries or parse(text, sep, *grammar)
+
+    monkeypatch.setattr(cli, "_parse_ints", without_duplicate_check)
+    with pytest.raises(AssertionError):
+        check(tmp_path, capsys)
+
+
+def test_dropped_criterion_check_fails_unknown_criterion_test(monkeypatch, capsys):
+    def without_name_check(cfg):
+        numbers = {str(c) for (c,) in cfg.params["criteria"]}
+        return 0 if acceptance.run_all(numbers, seed=cfg.seed) else 1
+
+    monkeypatch.setitem(cli._COMMANDS, "selftest", without_name_check)
+    with pytest.raises(AssertionError):
+        test_cli.TestSelftestCommand().test_unknown_criterion_is_usage_error(capsys)

@@ -1,11 +1,12 @@
 """The public surface: every exported name resolves, every function the
 benchmark's layer trace wraps still exists, and every argv the benchmark
-generates still parses."""
+generates or README.md shows still parses."""
 
 import importlib
 import importlib.util
 import pkgutil
 import random
+import shlex
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,11 @@ MODULES = sorted(
 )
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def _load_perfbench(name):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    path = ROOT / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -62,3 +66,16 @@ def test_benchmark_argv_parses(name, tmp_path):
     cfg = parse_args(argv)
     assert cfg.command == name.split("-")[0]
     assert cfg.cache_dir == cache
+
+
+README_EXAMPLES = [
+    line for line in (ROOT / "README.md").read_text().splitlines() if line.startswith("latgauge ")
+]
+
+
+@pytest.mark.parametrize("line", README_EXAMPLES, ids=lambda line: line.split("#")[0].strip())
+def test_readme_example_parses(line):
+    # a flag rename or grammar change that breaks documented usage
+    argv = shlex.split(line, comments=True)
+    cfg = parse_args(argv[1:])
+    assert cfg.command == argv[1]
