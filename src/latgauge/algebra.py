@@ -20,6 +20,7 @@ kernel of that block, and its dimension is ``2M^2 - (M-2)^2``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,6 +37,8 @@ __all__ = [
     "b_operator",
     "constraint_operator",
     "dressing_exponent",
+    "dressing_geometry",
+    "check_dressing",
     "commutator_scalar",
     "is_gauge_invariant",
     "gauge_invariant_nullspace",
@@ -213,6 +216,62 @@ def dressing_exponent(grid: GridSpec, link_site: Site, displacement: float) -> L
     return Fraction(displacement) * q_op(link_site, "x")
 
 
+def dressing_geometry(grid: GridSpec, site: Site, direction: str) -> tuple[Site, Site, float]:
+    """The protocol's charge move from ``site`` two columns ``direction``
+    ('left' or 'right') as ``(target, link, displacement)``: its dressing
+    displaces p_x on ``link``, the column in between, by -2a (left) or
+    +2a (right). The one definition of the dressed move."""
+    if direction == "left":
+        step = -1
+    elif direction == "right":
+        step = 1
+    else:
+        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    row, col = site
+    return grid.wrap(row, col + 2 * step), grid.wrap(row, col + step), step * 2.0 * grid.spacing
+
+
+def check_dressing(
+    grid: GridSpec, site: Site, target: Site, link: Site, displacement: float
+) -> None:
+    """Assert exactly that the dressing ``displacement * q_x[link]``
+    repairs the Gauss law of the charge move from ``site`` to ``target``:
+    its commutator with the Gauss cross is +1 at ``site`` and -1 at
+    ``target`` (minus the change of rho there) and 0 on every other cross
+    it touches, so the dressed move leaves ``div p + rho`` unchanged.
+
+    The crosses commute with lattice translations, so the move is checked
+    in Fractions at the origin, relative to ``site``, once per grid and
+    relative geometry.
+
+    Raises
+    ------
+    AssertionError
+        On the first cross where the commutator differs.
+    """
+    n = grid.n
+    _check_relative_dressing(
+        grid,
+        ((target[0] - site[0]) % n, (target[1] - site[1]) % n),
+        ((link[0] - site[0]) % n, (link[1] - site[1]) % n),
+        float(displacement),
+    )
+
+
+@functools.cache
+def _check_relative_dressing(grid, target, link, displacement) -> None:
+    source = (0, 0)
+    dressing = dressing_exponent(grid, link, displacement)
+    for cross in sorted(set(_touched_crosses(dressing, grid)) | {source, target}):
+        expected = (cross == source) - (cross == target)
+        got = commutator_scalar(dressing, constraint_operator(grid, cross))
+        if got != expected:
+            raise AssertionError(
+                f"dressing {dressing} does not repair the Gauss law of the move "
+                f"{source} -> {target}: commutator {got} at cross {cross}, expected {expected}"
+            )
+
+
 def commutator_scalar(lhs: LinearOperator, rhs: LinearOperator) -> Fraction:
     """Scalar c with [lhs, rhs] = i*hbar*c*identity, i.e.
     ``sum (lhs.q * rhs.p - lhs.p * rhs.q)`` over matched site and
@@ -230,19 +289,23 @@ def commutator_scalar(lhs: LinearOperator, rhs: LinearOperator) -> Fraction:
     return total
 
 
-def is_gauge_invariant(op: LinearOperator, grid: GridSpec) -> bool:
-    """True iff the operator commutes with the Gauss cross at every
-    lattice site. Only crosses whose stencil touches the operator's
-    support can produce a nonzero commutator, so those are the only ones
-    evaluated."""
-    candidate_sites = set()
+def _touched_crosses(op: LinearOperator, grid: GridSpec) -> list[Site]:
+    """The sites whose Gauss cross stencil touches the operator's support:
+    the only crosses that can have a nonzero commutator with it."""
+    sites = set()
     for (site, _comp) in list(op.q_coeffs) + list(op.p_coeffs):
         i, j = site
         for di, dj in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-            candidate_sites.add(grid.wrap(i + di, j + dj))
+            sites.add(grid.wrap(i + di, j + dj))
+    return sorted(sites)
+
+
+def is_gauge_invariant(op: LinearOperator, grid: GridSpec) -> bool:
+    """True iff the operator commutes with the Gauss cross at every
+    lattice site; only the crosses it touches are evaluated."""
     return all(
         commutator_scalar(op, constraint_operator(grid, site)) == 0
-        for site in sorted(candidate_sites)
+        for site in _touched_crosses(op, grid)
     )
 
 

@@ -127,8 +127,6 @@ def _g_scaling(n_list, r):
 
 
 def _kvec(n_list, fraction):
-    if not np.isfinite(fraction):
-        raise UsageError(f"--fraction must be finite, got {fraction}")
     return [("", "", continuum.kvec_convergence(n_list, fraction))]
 
 
@@ -343,8 +341,15 @@ def _cmd_continuum(cfg: RunConfig) -> int:
     option, header, produce = _CHECKS[p["check"]]
     if p[option] is None:
         raise UsageError(f"--check {p['check']} needs --{option}")
+    for other, *_ in _CHECKS.values():
+        if other != option and p[other] is not None:
+            raise UsageError(f"--check {p['check']} does not read --{other}")
+    try:
+        produced = produce(n_list, p[option])
+    except continuum.OutOfRange as exc:
+        raise UsageError(str(exc)) from exc
     lines = [header]
-    for prefix, label, series in produce(n_list, p[option]):
+    for prefix, label, series in produced:
         lines += [f"{prefix}{n},{_float_csv(v)}" for n, v in zip(series.n_values, series.values)]
         print(f"{label}estimate {series.fit['estimate']!r} rate {series.fit['rate']!r}")
     _write(p["out"], "\n".join(lines) + "\n")

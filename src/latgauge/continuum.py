@@ -22,6 +22,7 @@ from .grid import GridSpec
 from .spectral import build_kernels, kernel_values
 
 __all__ = [
+    "OutOfRange",
     "ConvergenceSeries",
     "g_scaling_check",
     "d_log_check",
@@ -29,6 +30,11 @@ __all__ = [
     "continuum_log_coefficient",
     "bz_d_difference",
 ]
+
+
+class OutOfRange(ValueError):
+    """A check's separation or mode fraction lies outside the range where
+    its series means anything; raised before any table is built."""
 
 
 @dataclass(frozen=True)
@@ -74,9 +80,9 @@ def g_scaling_check(n_list, r_over_a: int) -> ConvergenceSeries:
     shrinking successive differences."""
     r = int(r_over_a)
     if r <= 0:
-        raise ValueError("separation must be a positive site count (r = 0 is singular)")
+        raise OutOfRange("separation must be a positive site count (r = 0 is singular)")
     if not all(r < n / 2 for n in n_list):
-        raise ValueError(f"need r = {r} well below N/2 for every N")
+        raise OutOfRange(f"need r = {r} well below N/2 for every N")
     values = []
     for n in sorted(n_list):
         values.append(r * float(kernel_values(GridSpec(int(n), 1.0), 1)[0, r]))
@@ -99,9 +105,9 @@ def d_log_check(n_list, pairs) -> list[ConvergenceSeries]:
     pairs = [(int(r1), int(r2)) for r1, r2 in pairs]
     for r1, r2 in pairs:
         if not (1 <= r1 < r2):
-            raise ValueError("need 1 <= r1 < r2")
+            raise OutOfRange("need 1 <= r1 < r2")
         if not all(r2 < n / 2 for n in n_list):
-            raise ValueError(f"need r2 = {r2} well below N/2 for every N")
+            raise OutOfRange(f"need r2 = {r2} well below N/2 for every N")
     columns = [[] for _ in pairs]
     for n in sorted(n_list):
         table = build_kernels(GridSpec(int(n), 1.0))
@@ -126,7 +132,7 @@ def kvec_convergence(n_list, mode_fraction: float) -> ConvergenceSeries:
     sits clear of the sine turnover.
     """
     if not (0.0 < mode_fraction < 0.25):
-        raise ValueError("mode_fraction must lie in (0, 1/4)")
+        raise OutOfRange("mode_fraction must lie in (0, 1/4)")
     n_sorted = sorted(int(n) for n in n_list)
     mode = max(1, round(mode_fraction * n_sorted[0]))
     values = []

@@ -9,6 +9,14 @@ states are Gaussian ground states displaced by dressings, so every
 intermediate state satisfies its sector's Gauss law up to the uniform
 charge mode, and merging immediately after splitting restores the
 initial state exactly.
+
+The protocol itself builds no field: the unitaries factor as
+U_A (x) U_B, so the branches meet only through their phases, and every
+phase is a D-table lookup. The Gauss law of the states it passes through
+is proven instead of sampled: once per kernel table from the unit-charge
+background (``gaussian.gauss_bound``) and exactly, in Fractions, once
+per move geometry (``algebra.check_dressing``). The null test still
+builds the dressed fields and holds each to the Gauss law.
 """
 
 from __future__ import annotations
@@ -22,15 +30,15 @@ from .gaussian import (
     CONSTRAINT_TOL,
     GaussianFieldState,
     NonNeutralWarning,
-    coulomb_energy_shift,
-    evolve_phase,
     displace,
+    gauss_bound,
     gauss_residual,
+    sector_energy,
     wrap_phase,
 )
 from .grid import GridSpec, ScalarField, VectorField
 from .matter import MatterConfig, apply_ladder, density
-from .algebra import Region
+from .algebra import Region, check_dressing, dressing_geometry
 from .spectral import KernelTable
 
 __all__ = [
@@ -154,34 +162,34 @@ def dressed_move(
     """Move the region's charge two columns left or right with the
     single-link momentum dressing that repairs the Gauss law.
 
-    A left move from column c displaces p_x at (row, c-1) by -2a, a
-    right move displaces p_x at (row, c+1) by +2a; either choice is
-    exactly the shift the two affected Gauss crosses need. ``dressed=False``
-    is a test hook that skips the displacement and leaves a unit
-    constraint violation on those two crosses. Spin conditioning
-    belongs to the caller.
+    The target, link and displacement come from
+    ``algebra.dressing_geometry``: a left move from column c displaces
+    p_x at (row, c-1) by -2a, a right move p_x at (row, c+1) by +2a;
+    either choice is exactly the shift the two affected Gauss crosses
+    need. ``dressed=False`` is a test hook that skips the displacement
+    and leaves a unit constraint violation on those two crosses. Spin
+    conditioning belongs to the caller.
     """
-    reg = _region_of(spec, region)
-    occupied_here = sorted(s for s in branch.matter.occupied if reg.contains(s))
-    if len(occupied_here) != 1:
-        raise ValueError(f"region {region} holds {len(occupied_here)} charges, not 1")
-    row, col = occupied_here[0]
-    if direction == "left":
-        target, link_col, sign = (row, col - 2), col - 1, -1.0
-    elif direction == "right":
-        target, link_col, sign = (row, col + 2), col + 1, +1.0
-    else:
-        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-
-    new_matter = apply_ladder(branch.matter, create_at=target, annihilate_at=(row, col))
+    source = _region_charge(spec, branch.matter, region)
+    target, link, displacement = dressing_geometry(spec.grid, source, direction)
+    new_matter = apply_ladder(branch.matter, create_at=target, annihilate_at=source)
 
     new_field = branch.field
     if dressed:
-        link = np.zeros(spec.grid.shape)
-        link[row, link_col] = sign * 2.0 * spec.grid.spacing
-        delta = VectorField.from_arrays(spec.grid, link, np.zeros(spec.grid.shape))
+        delta = np.zeros(spec.grid.shape)
+        delta[link] = displacement
+        delta = VectorField.from_arrays(spec.grid, delta, np.zeros(spec.grid.shape))
         new_field = displace(branch.field, delta)
     return BranchState(new_matter, new_field)
+
+
+def _region_charge(spec: ProtocolSpec, matter: MatterConfig, region: str) -> tuple[int, int]:
+    """The one occupied site in ``region``."""
+    reg = _region_of(spec, region)
+    here = sorted(s for s in matter.occupied if reg.contains(s))
+    if len(here) != 1:
+        raise ValueError(f"region {region} holds {len(here)} charges, not 1")
+    return here[0]
 
 
 @dataclass
@@ -221,6 +229,25 @@ def _moves(spec, branch, name, directions, regions=("A", "B")) -> BranchState:
     return branch
 
 
+def _proven_moves(spec, matter, name, directions) -> MatterConfig:
+    """Branch ``name``'s charge moves (its first letter steers A, its
+    second B; ``directions`` maps a letter to a move direction) on the
+    matter alone. Each move's dressing is proven to repair the Gauss law
+    by ``check_dressing`` instead of being built."""
+    for region, letter in zip("AB", name):
+        source = _region_charge(spec, matter, region)
+        target, link, displacement = dressing_geometry(spec.grid, source, directions[letter])
+        check_dressing(spec.grid, source, target, link, displacement)
+        matter = apply_ladder(matter, create_at=target, annihilate_at=source)
+    return matter
+
+
+def _state_phase(phi: float) -> float:
+    # the phase a field state held after each step: wrapped by the step,
+    # then again by the GaussianFieldState constructor, kept for its bits
+    return wrap_phase(wrap_phase(phi))
+
+
 def run_protocol(spec: ProtocolSpec, kernels: KernelTable) -> ProtocolTrace:
     """Execute steps 0-5 and return the branch phases and final spins.
 
@@ -234,41 +261,44 @@ def run_protocol(spec: ProtocolSpec, kernels: KernelTable) -> ProtocolTrace:
     out the spin state.
 
     The unitaries are U_A (x) U_B conditioned on spin, so the branches
-    never meet before the readout: each one runs steps 1-5 on its own
-    and keeps only its phases, releasing its fields before the next.
+    never meet before the readout, and each carries only its matter and
+    its phase; no field is built. Every sector holds the start sector's
+    charges relocated, so one ``gauss_bound`` proves the Gauss law of
+    all five ground states and, with ``check_dressing`` per move, of all
+    eight dressed states. The sector energies are D lookups at the
+    occupied sites.
     """
     if kernels.grid != spec.grid:
         raise ValueError("kernel table lives on a different grid")
     amp = 0.5 + 0.0j
     s0 = spec.initial_config()
-    field0 = _ground_state(density(s0), kernels, phase=0.0)
+    gauss_bound([1.0] * len(s0.occupied), kernels)
     phases = {}
     final_spin = []
     for name in BRANCHES:
         # step 1: spin-conditioned splitting
-        b = _moves(spec, BranchState(s0, field0), name, _SPLIT_DIR)
+        moved = _proven_moves(spec, s0, name, _SPLIT_DIR)
 
         # step 2: relaxation to the branch ground state, phase gamma(s)
-        rho = density(b.matter)
-        phase = wrap_phase(b.field.phase + spec.gamma[name])
-        b = replace(b, field=_ground_state(rho, kernels, phase))
+        # added to the start state's phase 0
+        phase = _state_phase(0.0 + spec.gamma[name])
 
         # step 3: eigenstate evolution; the vacuum energy is common to
         # all branches and dropped, leaving phi(s) = -(E_rho(s) - E_0) tau
-        e_shift = coulomb_energy_shift(rho, kernels)
+        rows, cols = np.array(sorted(moved.occupied)).T
+        e_shift = sector_energy(rows, cols, np.ones(len(rows)), kernels)
         phases[name] = wrap_phase(-e_shift * spec.tau)
-        b = replace(b, field=evolve_phase(b.field, e_shift, spec.tau))
+        phase = _state_phase(phase - e_shift * spec.tau)
 
         # step 4: spin-conditioned merging
-        b = _moves(spec, b, name, _MERGE_DIR)
-        if b.matter.occupied != s0.occupied:
+        if _proven_moves(spec, moved, name, _MERGE_DIR).occupied != s0.occupied:
             raise NotSeparable(f"branch {name} does not return to the start matter")
+        phase = _state_phase(phase)
 
-        # step 5: relax to the start sector (ground state field0), phase
-        # gamma'(s); only the phase differs across branches
-        phase = wrap_phase(b.field.phase + spec.gamma_prime[name])
-        final = replace(field0, phase=phase)
-        final_spin.append(amp * np.exp(1j * final.phase))
+        # step 5: relax to the start sector, phase gamma'(s); only the
+        # phase differs across branches
+        phase = _state_phase(phase + spec.gamma_prime[name])
+        final_spin.append(amp * np.exp(1j * phase))
 
     final_spin = np.array(final_spin)
     return ProtocolTrace(

@@ -4,7 +4,9 @@ eigenstate phase evolution.
 
 The kernel table D is the one representation of the Coulomb problem:
 backgrounds and sector energies are read off it at the charged sites,
-and their mode-space forms survive only as test oracles.
+and their mode-space forms survive only as test oracles. A sector's
+Gauss law needs no field of its own: ``gauss_bound`` proves it from the
+one unit-charge background of the table.
 
 A state is represented by (kernel table, momentum shift, global phase)
 rather than a sampled wave function: every state the entanglement
@@ -28,7 +30,9 @@ __all__ = [
     "GaussianFieldState",
     "ground_energy",
     "coulomb_energy_shift",
+    "sector_energy",
     "coulomb_momentum",
+    "gauss_bound",
     "evolve_phase",
     "displace",
     "wrap_phase",
@@ -80,9 +84,12 @@ def solvable_charge_part(rho: ScalarField) -> ScalarField:
 
 def gauss_residual(p: VectorField, rho: ScalarField) -> float:
     """Infinity norm of div p + rho restricted to the solvable sector,
-    the residual every background constructor is held to."""
-    res = divergence(p).values + solvable_charge_part(rho).values
-    return float(np.max(np.abs(res)))
+    the residual every background constructor is held to. One N^2
+    temporary besides the divergence; the sum is ``div p + solvable
+    rho``, elementwise as written."""
+    res = rho.values - _excluded_part(rho.values)
+    res += divergence(p).values
+    return float(np.max(np.abs(res, out=res)))
 
 
 @dataclass(frozen=True)
@@ -136,9 +143,16 @@ def coulomb_energy_shift(rho: ScalarField, kernels: KernelTable) -> float:
     sum over all sites and the Fourier-side sum are its test oracles."""
     if rho.grid != kernels.grid:
         raise ValueError("rho must live on the kernel grid")
-    n = rho.grid.n
     rows, cols = np.nonzero(rho.values)
-    charges = rho.values[rows, cols]
+    return sector_energy(rows, cols, rho.values[rows, cols], kernels)
+
+
+def sector_energy(rows, cols, charges, kernels: KernelTable) -> float:
+    """``1/2 sum_{s,t} q_s q_t D(s - t)`` over charges ``q`` at the sites
+    ``(rows[s], cols[s])``, in row-major site order: the O(k^2) arithmetic
+    of ``coulomb_energy_shift``, shared so a sector read off its occupied
+    sites gets the same bits as one read off its dense density."""
+    n = kernels.grid.n
     total = 0.0
     for i, j, q in zip(rows, cols, charges):
         total += q * (charges @ kernels.d_values[(i - rows) % n, (j - cols) % n])
@@ -161,8 +175,10 @@ def coulomb_momentum(rho: ScalarField, kernels: KernelTable) -> VectorField:
     grid = kernels.grid
     if rho.grid != grid:
         raise ValueError("rho must live on the kernel grid")
+    sites = np.nonzero(rho.values)
+    charges = rho.values[sites]
     excluded = _excluded_part(rho.values)
-    if np.max(np.abs(excluded)) > 1e-12 * max(1.0, np.max(np.abs(rho.values))):
+    if np.max(np.abs(excluded)) > 1e-12 * max(1.0, np.max(np.abs(charges), initial=0.0)):
         warnings.warn(
             NonNeutralWarning(
                 "charge density has components on the excluded zero modes "
@@ -171,11 +187,76 @@ def coulomb_momentum(rho: ScalarField, kernels: KernelTable) -> VectorField:
             ),
             stacklevel=2,
         )
+    # one rolled copy per charge, scaled and summed in place
     phi = np.zeros(grid.shape)
-    for site in zip(*np.nonzero(rho.values)):
-        phi += rho.values[site] * np.roll(kernels.d_values, site, axis=(0, 1))
+    for site, q in zip(zip(*sites), charges):
+        term = np.roll(kernels.d_values, site, axis=(0, 1))
+        if q != 1.0:
+            term *= q
+        phi += term
     phi = ScalarField(grid, phi)
     return VectorField(dbar(phi, "x"), dbar(phi, "y"))
+
+
+def _unit_proof(kernels: KernelTable) -> tuple[float, float]:
+    """``(r0, max|P|)`` of the unit-charge background
+    ``P = coulomb_momentum(delta_0)``, with ``r0 = gauss_residual(P,
+    delta_0)``. Computed once per table and kept on it; P itself is
+    dropped. A unit charge is never neutral, so its ``NonNeutralWarning``
+    is expected and silenced."""
+    proof = kernels.__dict__.get("_unit_proof")
+    if proof is None:
+        unit = np.zeros(kernels.grid.shape)
+        unit[0, 0] = 1.0
+        unit = ScalarField(kernels.grid, unit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonNeutralWarning)
+            p = coulomb_momentum(unit, kernels)
+        p_max = max(max(c.values.max(), -c.values.min()) for c in (p.x, p.y))
+        proof = (gauss_residual(p, unit), float(p_max))
+        # a derived constant of the immutable table, not a change of its value
+        object.__setattr__(kernels, "_unit_proof", proof)
+    return proof
+
+
+def gauss_bound(charges, kernels: KernelTable) -> float:
+    """Proven bound on the Gauss residual of every field state of the
+    sector with point charges ``charges``: its background and that
+    background displaced by single-link dressings of +-2a.
+
+    ``coulomb_momentum`` and ``gauss_residual`` are linear and commute
+    with lattice translations, so the background of charges q_s at sites
+    s is ``sum_s q_s roll(P, s)`` and its residual field is the same sum
+    of rolled unit residual fields: at most ``Q r0`` with
+    ``Q = sum_s |q_s|``. A dressing whose commutators with the Gauss
+    crosses cancel the charge move (``algebra.check_dressing``) leaves
+    that residual unchanged. Floating point adds the rounding allowance
+
+        8 eps Q^2 (D(0)/a^2 + (max|P| + 2a)/a):
+
+    summing the k rolled tables (k <= Q for integer charges), each at
+    most D(0) (a kernel with nonnegative mode weights peaks at the
+    origin), errs by k eps Q D(0) and the second difference
+    ``div dbar`` scales that by 2/a^2; the
+    differences of ``dbar``, the dressing's add to a link of size at most
+    Q max|P| + 2a and the divergence round each entry they touch by a few
+    eps, scaled by the stencil's 2/a; the computed r0 carries the same
+    terms for Q = 1.
+
+    Raises
+    ------
+    AssertionError
+        When the bound exceeds ``CONSTRAINT_TOL``, so no state of the
+        sector can be trusted to solve the Gauss law.
+    """
+    r0, p_max = _unit_proof(kernels)
+    a = kernels.grid.spacing
+    q = float(np.sum(np.abs(charges)))
+    allowance = 8.0 * np.finfo(float).eps * q * q * (kernels.d(0, 0) / a**2 + (p_max + 2.0 * a) / a)
+    bound = q * r0 + allowance
+    if not bound <= CONSTRAINT_TOL:
+        raise AssertionError(f"background violates the Gauss law by up to {bound:.2e}")
+    return bound
 
 
 def evolve_phase(

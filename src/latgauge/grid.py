@@ -250,7 +250,9 @@ def _curl_values(vx: np.ndarray, vy: np.ndarray, spacing: float) -> np.ndarray:
 
 
 def _divergence_values(vx: np.ndarray, vy: np.ndarray, spacing: float) -> np.ndarray:
-    return _dbar_values(vx, "x", spacing) + _dbar_values(vy, "y", spacing)
+    out = _dbar_values(vx, "x", spacing)
+    out += _dbar_values(vy, "y", spacing)
+    return out
 
 
 def dbar(field: ScalarField, direction: str) -> ScalarField:

@@ -18,7 +18,9 @@ from latgauge.algebra import (
     center_dimension,
     commutator_scalar,
     constraint_operator,
+    check_dressing,
     dressing_exponent,
+    dressing_geometry,
     gauge_invariant_nullspace,
     in_center_span,
     is_gauge_invariant,
@@ -463,6 +465,22 @@ class TestDressingExponent:
                     assert c == -1
                 else:
                     assert c == 0
+
+    @pytest.mark.parametrize("site", [(5, 5), (0, 0), (10, 1)])
+    @pytest.mark.parametrize("direction", ["left", "right"])
+    def test_geometry_repairs_gauss_law_across_the_wrap(self, site, direction):
+        grid = GridSpec(11, 1.5)
+        target, link, displacement = dressing_geometry(grid, site, direction)
+        assert abs(displacement) == 3.0 and target[0] == link[0] == site[0]
+        check_dressing(grid, site, target, link, displacement)
+        with pytest.raises(AssertionError, match="does not repair the Gauss law"):
+            check_dressing(grid, site, target, link, -displacement)
+        with pytest.raises(AssertionError, match="does not repair the Gauss law"):
+            check_dressing(grid, site, link, link, displacement)
+
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction"):
+            dressing_geometry(GridSpec(11, 1.0), (5, 5), "up")
 
 
 class TestRendering:

@@ -645,6 +645,37 @@ class TestContinuumCommand:
         )
         assert_usage_error(code, capsys, out)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["g-scaling", "--n-list", "21,41", "--r", "30"],
+            ["kvec", "--n-list", "20,40", "--fraction", "0.3"],
+            ["d-log", "--n-list", "21,41", "--pairs", "2,1"],
+        ],
+        ids=["r", "fraction", "pairs"],
+    )
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, argv):
+        # at the parent these exited 1 as computational failures
+        out = tmp_path / "c.csv"
+        code = run(["continuum", "--check"] + argv + ["--out", str(out)], tmp_path)
+        assert_usage_error(code, capsys, out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["d-log", "--pairs", "1,2;2,4", "--fraction", "inf"],
+            ["d-log", "--pairs", "1,2", "--r", "3"],
+            ["g-scaling", "--r", "3", "--pairs", "1,2"],
+            ["kvec", "--fraction", "0.05", "--r", "3"],
+        ],
+        ids=["d-log-fraction", "d-log-r", "g-scaling-pairs", "kvec-r"],
+    )
+    def test_unread_option_is_usage_error(self, tmp_path, capsys, argv):
+        # at the parent the unread option was ignored and the run exited 0
+        out = tmp_path / "c.csv"
+        code = run(["continuum", "--n-list", "21,41", "--check"] + argv + ["--out", str(out)], tmp_path)
+        assert_usage_error(code, capsys, out)
+
     @pytest.mark.parametrize("fraction", ["nan", "inf"])
     def test_non_finite_fraction_is_usage_error(self, tmp_path, capsys, fraction):
         out = tmp_path / "k.csv"

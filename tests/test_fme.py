@@ -1,6 +1,8 @@
 """The entanglement protocol: dressed moves, the five steps, entropy
 accounting, and the embezzlement null test."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,18 @@ from latgauge.fme import (
     reduced_spin_a,
     run_protocol,
     vn_entropy,
+    _MERGE_DIR,
+    _SPLIT_DIR,
     _ground_state,
 )
-from latgauge.gaussian import gauss_residual, wrap_phase
+from latgauge.gaussian import (
+    CONSTRAINT_TOL,
+    coulomb_energy_shift,
+    evolve_phase,
+    gauss_bound,
+    gauss_residual,
+    wrap_phase,
+)
 from latgauge.grid import GridSpec, divergence
 from latgauge.matter import density
 from latgauge.spectral import build_kernels
@@ -52,6 +63,42 @@ def big_spec(tau=0.0, **kwargs):
 def start_branch(spec, kernels):
     s0 = spec.initial_config()
     return BranchState(s0, _ground_state(density(s0), kernels, 0.0))
+
+
+def _oracle_protocol(spec, kernels):
+    """The protocol with every field built: each background from
+    ``from_source``, each dressed field by ``dressed_move``, and a full
+    ``gauss_residual`` for each. Returns the phases, the final spins and
+    the 13 residuals computed: 5 backgrounds and 8 dressed states."""
+    residuals = []
+
+    def ground_state(rho, phase):
+        state = _ground_state(rho, kernels, phase)
+        residuals.append(gauss_residual(state.shift, rho))
+        return state
+
+    def moves(branch, name, directions):
+        for region, letter in zip("AB", name):
+            branch = dressed_move(spec, branch, region, directions[letter])
+        residuals.append(gauss_residual(branch.field.shift, density(branch.matter)))
+        return branch
+
+    s0 = spec.initial_config()
+    field0 = ground_state(density(s0), 0.0)
+    phases, final_spin = {}, []
+    for name in BRANCHES:
+        b = moves(BranchState(s0, field0), name, _SPLIT_DIR)
+        rho = density(b.matter)
+        b = replace(b, field=ground_state(rho, wrap_phase(b.field.phase + spec.gamma[name])))
+        e_shift = coulomb_energy_shift(rho, kernels)
+        phases[name] = wrap_phase(-e_shift * spec.tau)
+        b = replace(b, field=evolve_phase(b.field, e_shift, spec.tau))
+        b = moves(b, name, _MERGE_DIR)
+        if b.matter.occupied != s0.occupied:
+            raise NotSeparable(f"branch {name} does not return to the start matter")
+        final = replace(field0, phase=wrap_phase(b.field.phase + spec.gamma_prime[name]))
+        final_spin.append((0.5 + 0.0j) * np.exp(1j * final.phase))
+    return phases, np.array(final_spin), residuals
 
 
 class TestSpecValidation:
@@ -130,21 +177,24 @@ class TestRunProtocol:
         assert np.max(np.abs(amps - 0.5)) < 1e-12  # |+>|+> restored
 
     def test_branch_bookkeeping(self, small_kernels, monkeypatch):
-        # one energy shift per branch, each on its own step-2 sector
+        # one energy per branch, each on its own step-2 sector, read off
+        # the occupied sites in row-major order by the shared energy core
         import latgauge.fme as fme
 
         sectors = []
-        shift = fme.coulomb_energy_shift
+        energy = fme.sector_energy
         monkeypatch.setattr(
             fme,
-            "coulomb_energy_shift",
-            lambda rho, k: sectors.append(rho.values) or shift(rho, k),
+            "sector_energy",
+            lambda rows, cols, q, k: sectors.append((tuple(zip(rows, cols)), tuple(q)))
+            or energy(rows, cols, q, k),
         )
         run_protocol(small_spec(tau=1.0), small_kernels)
         assert len(sectors) == 4
-        assert all(np.count_nonzero(rho) == 2 for rho in sectors)
+        assert all(len(sites) == 2 and q == (1.0, 1.0) for sites, q in sectors)
+        assert all(list(sites) == sorted(sites) for sites, _q in sectors)
         # four distinct matter configurations between the moves
-        assert len({tuple(np.flatnonzero(rho)) for rho in sectors}) == 4
+        assert len({sites for sites, _q in sectors}) == 4
 
     def test_unreturned_matter_is_not_separable(self, small_kernels, monkeypatch):
         # merging in the split direction moves each charge two more
@@ -201,25 +251,32 @@ class TestRunProtocol:
             trace = run_protocol(small_spec(tau=float(tau)), small_kernels)
             assert -1e-12 <= trace.h_sigma_a <= np.log(2.0) + 1e-12
 
-    def test_five_backgrounds_per_run(self, small_kernels, monkeypatch):
-        # one for the start sector, one per branch at step 2; step 5
-        # returns to the start sector's ground state
+    def test_one_proof_per_table(self, monkeypatch):
+        # a six-tau sweep solves one background, the unit charge's, and
+        # takes one residual of it; a new table proves itself again
         import latgauge.gaussian as gaussian
 
         calls = []
-        solve = gaussian.coulomb_momentum
-        monkeypatch.setattr(
-            gaussian, "coulomb_momentum", lambda *a: calls.append(a) or solve(*a)
-        )
+
+        def counted(name):
+            original = getattr(gaussian, name)
+            return lambda *a: calls.append(name) or original(*a)
+
+        for name in ("coulomb_momentum", "gauss_residual"):
+            monkeypatch.setattr(gaussian, name, counted(name))
         gamma = {"LL": -0.7, "LR": 2.5, "RL": 0.1, "RR": 3.0}
         gamma_prime = {"LL": 0.3, "LR": 0.0, "RL": -1.1, "RR": 2.0}
-        spec = small_spec(tau=2.0, gamma=gamma, gamma_prime=gamma_prime)
-        trace = run_protocol(spec, small_kernels)
-        assert len(calls) == 5
-        # each branch's amplitude carries gamma(s) + phi(s) + gamma'(s)
-        for name, amp in zip(BRANCHES, trace.final_spin):
-            theta = wrap_phase(gamma[name] + trace.phases[name] + gamma_prime[name])
-            assert abs(amp - 0.5 * np.exp(1j * theta)) < 1e-12
+        kernels = build_kernels(GridSpec(25, 1.0))
+        for tau in np.linspace(0.0, 5.0, 6):
+            spec = small_spec(tau=float(tau), gamma=gamma, gamma_prime=gamma_prime)
+            trace = run_protocol(spec, kernels)
+            # each branch's amplitude carries gamma(s) + phi(s) + gamma'(s)
+            for name, amp in zip(BRANCHES, trace.final_spin):
+                theta = wrap_phase(gamma[name] + trace.phases[name] + gamma_prime[name])
+                assert abs(amp - 0.5 * np.exp(1j * theta)) < 1e-12
+        assert calls == ["coulomb_momentum", "gauss_residual"]
+        run_protocol(spec, build_kernels(GridSpec(25, 1.0)))
+        assert len(calls) == 4
 
     def test_entanglement_increase_equals_reduced_entropy(self, small_kernels):
         trace = run_protocol(small_spec(tau=90.0), small_kernels)
@@ -288,16 +345,29 @@ class TestEmbezzlement:
         assert trace.h_sigma_a < 1e-12
 
 
+def _draw_geometry(draw, n_step):
+    """Grid, charge sites and region size of a protocol with N up to 41,
+    every ``n_step``-th N from the smallest that fits."""
+    size = draw(st.sampled_from([7, 8, 9]))
+    half = size // 2
+    # the regions need size + 1 columns of separation and must fit
+    n = draw(st.sampled_from(range(2 * size + 1, 42, n_step)))
+    sep = draw(st.integers(size + 1, n - size))
+    col_a = draw(st.integers(half, n - size - sep + half))
+    row = n // 2
+    return dict(
+        grid=GridSpec(n, draw(st.floats(0.5, 2.0))),
+        site_a=(row, col_a),
+        site_b=(row, col_a + sep),
+        size=size,
+    )
+
+
 @st.composite
 def locc_cases(draw):
     """A protocol on an odd grid with relaxation phases of product form
     gamma(s) = gamma_A(s_A) + gamma_B(s_B), and the same for gamma'."""
-    size = draw(st.sampled_from([7, 8, 9]))
-    half = size // 2
-    # the regions need size + 1 columns of separation and must fit
-    n = draw(st.sampled_from(range(2 * size + 1, 42, 2)))
-    sep = draw(st.integers(size + 1, n - size))
-    col_a = draw(st.integers(half, n - size - sep + half))
+    geometry = _draw_geometry(draw, 2)
     angles = st.floats(-np.pi, np.pi)
 
     def product_phases():
@@ -305,15 +375,18 @@ def locc_cases(draw):
         side = {"L": 0, "R": 1}
         return {s: a[side[s[0]]] + b[side[s[1]]] for s in BRANCHES}
 
-    grid = GridSpec(n, draw(st.floats(0.5, 2.0)))
-    row = n // 2
-    return dict(
-        grid=grid,
-        site_a=(row, col_a),
-        site_b=(row, col_a + sep),
-        size=size,
-        gamma=product_phases(),
-        gamma_prime=product_phases(),
+    return dict(geometry, gamma=product_phases(), gamma_prime=product_phases())
+
+
+@st.composite
+def protocol_specs(draw):
+    """A protocol on an odd or even grid with any relaxation phases and tau."""
+    phase_map = st.fixed_dictionaries({s: st.floats(-np.pi, np.pi) for s in BRANCHES})
+    return ProtocolSpec(
+        **_draw_geometry(draw, 1),
+        tau=draw(st.floats(0.0, 50.0)),
+        gamma=draw(phase_map),
+        gamma_prime=draw(phase_map),
     )
 
 
@@ -339,3 +412,21 @@ class TestLocc:
             for s in BRANCHES
         }
         assert trace.h_sigma_a == pytest.approx(entropy_from_phases(theta), abs=1e-9)
+
+
+class TestProvenGaussLaw:
+    """``run_protocol`` builds no field; the oracle builds every one and
+    takes its full Gauss residual. The phases and spins must agree bit
+    for bit, and the proven bound must cover every residual the oracle
+    sees."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=protocol_specs())
+    def test_matches_field_building_oracle(self, spec):
+        kernels = build_kernels(spec.grid)
+        trace = run_protocol(spec, kernels)
+        phases, final_spin, residuals = _oracle_protocol(spec, kernels)
+        assert trace.phases == phases
+        assert np.array_equal(trace.final_spin, final_spin)
+        assert len(residuals) == 13
+        assert max(residuals) <= gauss_bound([1.0, 1.0], kernels) <= CONSTRAINT_TOL

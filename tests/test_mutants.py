@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import test_cli
+import test_fme
 import test_gaussian
 import test_spectral
-from latgauge import acceptance, cli, spectral
-from latgauge.grid import GridSpec
+from latgauge import acceptance, cli, fme, gaussian, spectral
+from latgauge.grid import GridSpec, VectorField
 
 
 def test_power_one_d_fails_criterion_10(monkeypatch):
@@ -28,6 +29,43 @@ def test_power_one_d_fails_criterion_10(monkeypatch):
     )
     with pytest.raises(AssertionError, match="violates the Gauss law"):
         acceptance.run_criterion("10")
+
+
+def _run_small_protocol():
+    # a fresh table, so its Gauss proof is taken under the mutant
+    spec = test_fme.small_spec(tau=1.0)
+    fme.run_protocol(spec, spectral.build_kernels(spec.grid))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda grid, target, link, displacement: (target, grid.wrap(link[0], link[1] + 1), displacement),
+        lambda grid, target, link, displacement: (target, link, -displacement),
+    ],
+    ids=["link-column", "displacement-sign"],
+)
+def test_wrong_dressing_fails_geometry_check(monkeypatch, mutate):
+    geometry = fme.dressing_geometry
+    monkeypatch.setattr(
+        fme, "dressing_geometry", lambda grid, site, direction: mutate(grid, *geometry(grid, site, direction))
+    )
+    with pytest.raises(AssertionError, match="does not repair the Gauss law"):
+        _run_small_protocol()
+
+
+def test_perturbed_unit_background_fails_gauss_bound(monkeypatch):
+    momentum = gaussian.coulomb_momentum
+
+    def perturbed(rho, kernels):
+        p = momentum(rho, kernels)
+        px = p.x.values.copy()
+        px[0, 1] += 1e-8
+        return VectorField.from_arrays(p.grid, px, p.y.values)
+
+    monkeypatch.setattr(gaussian, "coulomb_momentum", perturbed)
+    with pytest.raises(AssertionError, match="violates the Gauss law"):
+        _run_small_protocol()
 
 
 def test_rolled_d_fails_mode_space_oracle(monkeypatch):
