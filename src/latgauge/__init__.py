@@ -7,7 +7,7 @@ Subpackage map:
 - ``spectral``: DFT convention, wave vectors, kernels G and D
 - ``dynamics``: Hamiltonian, equations of motion, leapfrog and its
   streamed (t, H, Gauss residual) trajectory, gauge moves
-- ``gaussian``: Gaussian ground states, Coulomb background, energies
+- ``gaussian``: Coulomb background, ground energies, the Gauss-law bound
 - ``matter``: qubit-per-site charges and ladder moves
 - ``algebra``: exact operator algebra, local centers, edge terms
 - ``fme``: the field-mediated entanglement protocol
@@ -45,12 +45,9 @@ from .dynamics import (
     trajectory,
 )
 from .gaussian import (
-    GaussianFieldState,
     NonNeutralWarning,
     coulomb_energy_shift,
     coulomb_momentum,
-    displace,
-    evolve_phase,
     ground_energy,
 )
 from .matter import (
@@ -73,7 +70,6 @@ from .algebra import (
     sector_label,
 )
 from .fme import (
-    BranchState,
     NotDensityMatrix,
     NotSeparable,
     ProtocolSpec,

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from . import algebra, continuum, dynamics, fme, gaussian, matter, spectral
-from .grid import GridSpec, ScalarField, dbar, divergence, sum_by_parts_residual
+from .grid import GridSpec, ScalarField, VectorField, dbar, divergence, sum_by_parts_residual
 
 __all__ = ["CRITERIA", "run_criterion", "run_all"]
 
@@ -239,23 +239,28 @@ def _small_protocol_spec(n=25, distance=10, tau=0.0):
 
 def criterion_8_dressing():
     """Every dressed move keeps the sourced constraint residual below
-    1e-9; with the dressing disabled the residual is exactly one at the
-    two affected crosses and zero elsewhere."""
+    1e-9; with the dressing left off the residual is exactly one at the
+    two affected crosses and zero elsewhere. The fields are built here
+    from the start background and the dressing ``fme.dressed_move``
+    returns: the numerical check of its exact proof."""
     spec = _small_protocol_spec()
     kernels = spectral.build_kernels(spec.grid)
     s0 = spec.initial_config()
-    field0 = fme._ground_state(matter.density(s0), kernels, phase=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", gaussian.NonNeutralWarning)
+        p0 = gaussian.coulomb_momentum(matter.density(s0), kernels)
     lines = []
     ok = True
     for region, direction in (("A", "left"), ("A", "right"), ("B", "left"), ("B", "right")):
-        start = fme.BranchState(s0, field0)
-        moved = fme.dressed_move(spec, start, region, direction)
-        res = gaussian.gauss_residual(moved.field.shift, matter.density(moved.matter))
+        moved, link, displacement = fme.dressed_move(spec, s0, region, direction)
+        rho = matter.density(moved)
+        px = p0.x.values.copy()
+        px[link] += displacement
+        dressed = VectorField.from_arrays(spec.grid, px, p0.y.values)
+        res = gaussian.gauss_residual(dressed, rho)
         ok = ok and res < 1e-9
         lines.append(f"{region} {direction}: dressed residual {res:.2e}")
-        bare = fme.dressed_move(spec, start, region, direction, dressed=False)
-        rho = matter.density(bare.matter)
-        field_res = divergence(bare.field.shift).values + rho.values - rho.values.mean()
+        field_res = divergence(p0).values + rho.values - rho.values.mean()
         site = spec.site_a if region == "A" else spec.site_b
         shift = -2 if direction == "left" else 2
         affected = {site, (site[0], site[1] + shift)}

@@ -1,24 +1,16 @@
 """Gaussian ground states of the lattice model: vacuum and static-source
-ground energies, the classical Coulomb momentum background, and
-eigenstate phase evolution.
+ground energies and the classical Coulomb momentum background.
 
 The kernel table D is the one representation of the Coulomb problem:
 backgrounds and sector energies are read off it at the charged sites,
 and their mode-space forms survive only as test oracles. A sector's
 Gauss law needs no field of its own: ``gauss_bound`` proves it from the
-one unit-charge background of the table.
-
-A state is represented by (kernel table, momentum shift, global phase)
-rather than a sampled wave function: every state the entanglement
-protocol touches is a phase times a shifted copy of the fixed vacuum
-Gaussian, which keeps displacement round-trips exactly checkable.
-hbar = 1 throughout.
+one unit-charge background of the table. hbar = 1 throughout.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,16 +19,12 @@ from .spectral import KernelTable, wave_number_table
 
 __all__ = [
     "NonNeutralWarning",
-    "GaussianFieldState",
     "ground_energy",
     "coulomb_energy_shift",
     "sector_energy",
     "coulomb_momentum",
     "gauss_bound",
-    "evolve_phase",
-    "displace",
     "wrap_phase",
-    "solvable_charge_part",
     "gauss_residual",
 ]
 
@@ -74,14 +62,6 @@ def _excluded_part(values: np.ndarray):
     return np.tile(values.reshape(h, 2, h, 2).mean(axis=(0, 2)), (h, h))
 
 
-def solvable_charge_part(rho: ScalarField) -> ScalarField:
-    """Project the charge density onto the modes where the Gauss law is
-    solvable, dropping its components on the |k| = 0 modes. For odd N
-    this subtracts the spatial mean; for even N it also removes the
-    three staggered doubler components."""
-    return ScalarField(rho.grid, rho.values - _excluded_part(rho.values))
-
-
 def gauss_residual(p: VectorField, rho: ScalarField) -> float:
     """Infinity norm of div p + rho restricted to the solvable sector,
     the residual every background constructor is held to. One N^2
@@ -90,43 +70,6 @@ def gauss_residual(p: VectorField, rho: ScalarField) -> float:
     res = rho.values - _excluded_part(rho.values)
     res += divergence(p).values
     return float(np.max(np.abs(res, out=res)))
-
-
-@dataclass(frozen=True)
-class GaussianFieldState:
-    """Momentum-space Gaussian ground state, displaced by a classical
-    momentum background and carrying a global phase."""
-
-    kernel: KernelTable
-    shift: VectorField
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.shift.grid != self.kernel.grid:
-            raise ValueError("shift must live on the kernel grid")
-        object.__setattr__(self, "phase", wrap_phase(self.phase))
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.kernel.grid
-
-    @classmethod
-    def vacuum(cls, kernels: KernelTable) -> "GaussianFieldState":
-        return cls(kernels, VectorField.zeros(kernels.grid))
-
-    @classmethod
-    def from_source(cls, rho: ScalarField, kernels: KernelTable) -> "GaussianFieldState":
-        """Ground state of the sector with static charge density rho.
-
-        The constructed background must solve the sourced Gauss law (up
-        to the excluded-mode components the kernels drop); that is
-        asserted here.
-        """
-        shift = coulomb_momentum(rho, kernels)
-        residual = gauss_residual(shift, rho)
-        if residual > CONSTRAINT_TOL:
-            raise AssertionError(f"background violates the Gauss law by {residual:.2e}")
-        return cls(kernels, shift)
 
 
 def ground_energy(grid: GridSpec) -> float:
@@ -257,20 +200,3 @@ def gauss_bound(charges, kernels: KernelTable) -> float:
     if not bound <= CONSTRAINT_TOL:
         raise AssertionError(f"background violates the Gauss law by up to {bound:.2e}")
     return bound
-
-
-def evolve_phase(
-    state: GaussianFieldState, energy: float, tau: float
-) -> GaussianFieldState:
-    """Eigenstate evolution for time tau: phase picks up -energy * tau
-    (hbar = 1); kernel and shift untouched."""
-    return replace(state, phase=wrap_phase(state.phase - energy * tau))
-
-
-def displace(state: GaussianFieldState, delta_p: VectorField) -> GaussianFieldState:
-    """Translate the momentum background by delta_p. Models both the
-    source translation operator and the single-link dressing used by the
-    entanglement protocol."""
-    if delta_p.grid != state.grid:
-        raise ValueError("displacement must live on the state grid")
-    return replace(state, shift=state.shift + delta_p)

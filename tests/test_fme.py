@@ -1,7 +1,7 @@
 """The entanglement protocol: dressed moves, the five steps, entropy
 accounting, and the embezzlement null test."""
 
-from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from latgauge.fme import (
     BRANCHES,
-    BranchState,
     NotDensityMatrix,
     NotSeparable,
     ProtocolSpec,
@@ -22,17 +21,17 @@ from latgauge.fme import (
     vn_entropy,
     _MERGE_DIR,
     _SPLIT_DIR,
-    _ground_state,
 )
 from latgauge.gaussian import (
     CONSTRAINT_TOL,
+    NonNeutralWarning,
     coulomb_energy_shift,
-    evolve_phase,
+    coulomb_momentum,
     gauss_bound,
     gauss_residual,
     wrap_phase,
 )
-from latgauge.grid import GridSpec, divergence
+from latgauge.grid import GridSpec, VectorField, divergence
 from latgauge.matter import density
 from latgauge.spectral import build_kernels
 
@@ -60,44 +59,57 @@ def big_spec(tau=0.0, **kwargs):
     return ProtocolSpec(grid, (50, 40), (50, 60), size=7, tau=tau, **kwargs)
 
 
-def start_branch(spec, kernels):
-    s0 = spec.initial_config()
-    return BranchState(s0, _ground_state(density(s0), kernels, 0.0))
+def background(matter, kernels):
+    """The Coulomb momentum background of ``matter``'s sector. Like charges
+    are never neutral; only the uniform mode is dropped, which is benign."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonNeutralWarning)
+        return coulomb_momentum(density(matter), kernels)
+
+
+def dress(p, link, displacement):
+    """``p`` with ``displacement`` added to p_x on ``link``."""
+    px = p.x.values.copy()
+    px[link] += displacement
+    return VectorField.from_arrays(p.grid, px, p.y.values)
 
 
 def _oracle_protocol(spec, kernels):
-    """The protocol with every field built: each background from
-    ``from_source``, each dressed field by ``dressed_move``, and a full
-    ``gauss_residual`` for each. Returns the phases, the final spins and
-    the 13 residuals computed: 5 backgrounds and 8 dressed states."""
+    """The protocol with every field built: each background by
+    ``coulomb_momentum``, each dressed field by adding the dressings
+    ``dressed_move`` returns to the link, and a full ``gauss_residual``
+    for each. The phase is wrapped by each step and again by each state
+    it is stored on. Returns the phases, the final spins and the 13
+    residuals computed: 5 backgrounds and 8 dressed states."""
     residuals = []
 
-    def ground_state(rho, phase):
-        state = _ground_state(rho, kernels, phase)
-        residuals.append(gauss_residual(state.shift, rho))
-        return state
+    def ground_state(matter):
+        p = background(matter, kernels)
+        residuals.append(gauss_residual(p, density(matter)))
+        return p
 
-    def moves(branch, name, directions):
+    def moves(matter, p, phase, name, directions):
         for region, letter in zip("AB", name):
-            branch = dressed_move(spec, branch, region, directions[letter])
-        residuals.append(gauss_residual(branch.field.shift, density(branch.matter)))
-        return branch
+            matter, link, displacement = dressed_move(spec, matter, region, directions[letter])
+            p, phase = dress(p, link, displacement), wrap_phase(phase)
+        residuals.append(gauss_residual(p, density(matter)))
+        return matter, p, phase
 
     s0 = spec.initial_config()
-    field0 = ground_state(density(s0), 0.0)
+    field0 = ground_state(s0)
     phases, final_spin = {}, []
     for name in BRANCHES:
-        b = moves(BranchState(s0, field0), name, _SPLIT_DIR)
-        rho = density(b.matter)
-        b = replace(b, field=ground_state(rho, wrap_phase(b.field.phase + spec.gamma[name])))
-        e_shift = coulomb_energy_shift(rho, kernels)
+        matter, p, phase = moves(s0, field0, 0.0, name, _SPLIT_DIR)
+        p = ground_state(matter)
+        phase = wrap_phase(wrap_phase(phase + spec.gamma[name]))
+        e_shift = coulomb_energy_shift(density(matter), kernels)
         phases[name] = wrap_phase(-e_shift * spec.tau)
-        b = replace(b, field=evolve_phase(b.field, e_shift, spec.tau))
-        b = moves(b, name, _MERGE_DIR)
-        if b.matter.occupied != s0.occupied:
+        phase = wrap_phase(wrap_phase(phase - e_shift * spec.tau))
+        matter, p, phase = moves(matter, p, phase, name, _MERGE_DIR)
+        if matter.occupied != s0.occupied:
             raise NotSeparable(f"branch {name} does not return to the start matter")
-        final = replace(field0, phase=wrap_phase(b.field.phase + spec.gamma_prime[name]))
-        final_spin.append((0.5 + 0.0j) * np.exp(1j * final.phase))
+        phase = wrap_phase(wrap_phase(phase + spec.gamma_prime[name]))
+        final_spin.append((0.5 + 0.0j) * np.exp(1j * phase))
     return phases, np.array(final_spin), residuals
 
 
@@ -119,54 +131,57 @@ class TestSpecValidation:
 
 
 class TestDressedMove:
-    def test_move_then_merge_restores_exactly(self, small_kernels):
+    def test_move_then_merge_restores_exactly(self):
         spec = small_spec()
-        start = start_branch(spec, small_kernels)
+        s0 = spec.initial_config()
         for direction, back in (("left", "right"), ("right", "left")):
-            out = dressed_move(spec, start, "A", direction)
-            restored = dressed_move(spec, out, "A", back)
-            assert restored.matter.occupied == start.matter.occupied
-            # adding and removing the 2a displacement can shave the low
-            # bits of the background underneath it
-            assert (restored.field.shift - start.field.shift).max_abs() < 1e-12
+            out, link, there = dressed_move(spec, s0, "A", direction)
+            restored, back_link, back_again = dressed_move(spec, out, "A", back)
+            assert restored.occupied == s0.occupied
+            assert back_link == link
+            assert there + back_again == 0.0
 
     def test_dressing_repairs_gauss_law(self, small_kernels):
         spec = small_spec()
-        start = start_branch(spec, small_kernels)
-        assert gauss_residual(start.field.shift, density(start.matter)) < 1e-9
+        s0 = spec.initial_config()
+        p0 = background(s0, small_kernels)
+        assert gauss_residual(p0, density(s0)) < 1e-9
         for region in ("A", "B"):
             for direction in ("left", "right"):
-                moved = dressed_move(spec, start, region, direction)
-                assert gauss_residual(moved.field.shift, density(moved.matter)) < 1e-9
+                moved, link, displacement = dressed_move(spec, s0, region, direction)
+                assert gauss_residual(dress(p0, link, displacement), density(moved)) < 1e-9
 
     def test_undressed_move_breaks_two_crosses(self, small_kernels):
         spec = small_spec()
-        start = start_branch(spec, small_kernels)
-        bare = dressed_move(spec, start, "A", "left", dressed=False)
-        rho = density(bare.matter)
-        res = divergence(bare.field.shift).values + rho.values - rho.values.mean()
+        s0 = spec.initial_config()
+        p0 = background(s0, small_kernels)
+        moved, _link, _displacement = dressed_move(spec, s0, "A", "left")
+        rho = density(moved)
+        res = divergence(p0).values + rho.values - rho.values.mean()
         row, col = spec.site_a
         assert abs(abs(res[row, col]) - 1.0) < 1e-12
         assert abs(abs(res[row, col - 2]) - 1.0) < 1e-12
         res[row, col] = res[row, col - 2] = 0.0
         assert np.max(np.abs(res)) < 1e-12
 
-    def test_region_moves_commute(self, small_kernels):
+    def test_region_moves_commute(self):
         # order of application across regions is irrelevant, exactly
         spec = small_spec()
-        start = start_branch(spec, small_kernels)
-        ab = dressed_move(spec, dressed_move(spec, start, "A", "left"), "B", "right")
-        ba = dressed_move(spec, dressed_move(spec, start, "B", "right"), "A", "left")
-        assert ab.matter.occupied == ba.matter.occupied
-        assert (ab.field.shift - ba.field.shift).max_abs() == 0.0
+        s0 = spec.initial_config()
+        a, a_link, a_shift = dressed_move(spec, s0, "A", "left")
+        ab, b_link, b_shift = dressed_move(spec, a, "B", "right")
+        b, *b_dressing = dressed_move(spec, s0, "B", "right")
+        ba, *a_dressing = dressed_move(spec, b, "A", "left")
+        assert ab.occupied == ba.occupied
+        assert b_dressing == [b_link, b_shift] and a_dressing == [a_link, a_shift]
 
-    def test_unknown_region_rejected(self, small_kernels):
+    def test_unknown_region_rejected(self):
         spec = small_spec()
-        start = start_branch(spec, small_kernels)
+        s0 = spec.initial_config()
         with pytest.raises(ValueError):
-            dressed_move(spec, start, "nope", "left")
+            dressed_move(spec, s0, "nope", "left")
         with pytest.raises(ValueError):
-            dressed_move(spec, start, "A", "up")
+            dressed_move(spec, s0, "A", "up")
 
 
 class TestRunProtocol:
@@ -317,22 +332,22 @@ class TestEmbezzlement:
     def test_null_test_passes(self, small_kernels):
         assert embezzlement_null_test(small_spec(), small_kernels)
 
-    def test_single_region_factorization(self, small_kernels):
+    def test_single_region_factorization(self):
+        # U_A (x) U_B: split and merge in one region alone restore the
+        # start exactly and never touch the other region's charge
         spec = small_spec()
-        assert embezzlement_null_test(spec, small_kernels, regions=("A",))
-        assert embezzlement_null_test(spec, small_kernels, regions=("B",))
+        s0 = spec.initial_config()
+        for region, other in (("A", spec.site_b), ("B", spec.site_a)):
+            for direction, back in (("left", "right"), ("right", "left")):
+                moved, link, there = dressed_move(spec, s0, region, direction)
+                assert other in moved.occupied
+                merged, back_link, back_again = dressed_move(spec, moved, region, back)
+                assert merged.occupied == s0.occupied
+                assert (back_link, there + back_again) == (link, 0.0)
 
-    def test_gauss_law_checked(self, small_kernels, monkeypatch):
-        # an undressed move breaks the Gauss law; the null test says so
-        # rather than only comparing end states
-        import latgauge.fme as fme
-
-        move = fme.dressed_move
-        monkeypatch.setattr(
-            fme, "dressed_move", lambda *a: move(*a, dressed=False)
-        )
-        with pytest.raises(AssertionError, match="Gauss law"):
-            embezzlement_null_test(small_spec(), small_kernels)
+    def test_mismatched_table_rejected(self, big_kernels):
+        with pytest.raises(ValueError, match="different grid"):
+            embezzlement_null_test(small_spec(), big_kernels)
 
     def test_full_protocol_differs_for_generic_tau(self, small_kernels):
         trace = run_protocol(small_spec(tau=150.0), small_kernels)

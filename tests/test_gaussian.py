@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from latgauge.fme import BRANCHES, ProtocolSpec, run_protocol
 from latgauge.gaussian import (
-    GaussianFieldState,
     NonNeutralWarning,
+    _excluded_part,
     coulomb_energy_shift,
     coulomb_momentum,
-    displace,
-    evolve_phase,
+    gauss_residual,
     ground_energy,
-    solvable_charge_part,
     wrap_phase,
 )
 from latgauge.grid import GridSpec, ScalarField, VectorField, divergence
@@ -49,7 +47,8 @@ def mode_space_momentum(rho):
 
 def mode_space_charge_part(rho):
     """rho with its |k| = 0 mode components zeroed by a round trip through
-    mode space: the oracle of solvable_charge_part."""
+    mode space: the oracle of ``rho - _excluded_part(rho)``, the solvable
+    part ``gauss_residual`` holds the background to."""
     _, kept = _mode_weights(rho.grid, 2)
     rho_t = np.fft.fft2(rho.values)
     rho_t[~kept] = 0.0
@@ -214,38 +213,39 @@ class TestCoulombMomentum:
     def test_even_lattice_solves_up_to_doubler_modes(self):
         # an even lattice excludes four modes; the background matches rho
         # on everything else
-        from latgauge.gaussian import GaussianFieldState, gauss_residual, solvable_charge_part
-
         grid = GridSpec(16, 1.0)
         kernels = build_kernels(grid)
         rng = np.random.default_rng(11)
         rho = ScalarField(grid, rng.integers(-2, 3, size=grid.shape).astype(float))
         with pytest.warns(NonNeutralWarning):
-            state = GaussianFieldState.from_source(rho, kernels)
-        assert gauss_residual(state.shift, rho) < 1e-9
+            p = coulomb_momentum(rho, kernels)
+        assert gauss_residual(p, rho) < 1e-9
         # mean subtraction alone is not enough here: the staggered
         # doubler components of rho are genuinely unmatchable
-        mean_only = divergence(state.shift).values + rho.values - rho.values.mean()
+        mean_only = divergence(p).values + rho.values - rho.values.mean()
         assert np.max(np.abs(mean_only)) > 1e-3
-        solvable = solvable_charge_part(rho)
-        assert abs(solvable.values.sum()) < 1e-9
+        solvable = rho.values - _excluded_part(rho.values)
+        assert abs(solvable.sum()) < 1e-9
 
 
 class TestSolvableChargePart:
+    """``rho - _excluded_part(rho)``: the charge density with its |k| = 0
+    mode components dropped, the part the Gauss law can match."""
+
     @given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_mode_space_oracle(self, n, seed):
         grid = GridSpec(n, 1.0)
         rng = np.random.default_rng(seed)
         rho = ScalarField(grid, rng.integers(-3, 4, size=grid.shape).astype(float))
-        fast = solvable_charge_part(rho).values
+        fast = rho.values - _excluded_part(rho.values)
         assert np.max(np.abs(fast - mode_space_charge_part(rho))) < 1e-12
 
     def test_odd_lattice_subtracts_the_mean(self):
         grid = GridSpec(9, 1.0)
         rho = neutral_random_charges(grid, 6) + ScalarField.constant(grid, 0.3)
         np.testing.assert_array_equal(
-            solvable_charge_part(rho).values, rho.values - rho.values.mean()
+            rho.values - _excluded_part(rho.values), rho.values - rho.values.mean()
         )
 
 
@@ -280,53 +280,32 @@ class TestPhases:
         assert wrap_phase(0.0) == 0.0
         assert wrap_phase(3 * np.pi) == pytest.approx(np.pi)
 
+    # the protocol's eigenstate evolution, phi(s) = -E(s) tau with the
+    # branch energy E(s) = D(0) + D(sep(s)), is the package's one
+    # phase evolution
+    @staticmethod
+    def branch_phases(tau):
+        grid = GridSpec(25, 1.0)
+        kernels = build_kernels(grid)
+        spec = ProtocolSpec(grid, (12, 7), (12, 17), size=7, tau=tau)
+        energy = {s: kernels.d(0, 0) + kernels.d(0, 10 + shift)
+                  for s, shift in zip(BRANCHES, (0, 4, -4, 0))}
+        return run_protocol(spec, kernels), energy
+
     def test_zero_time_is_identity(self):
-        kernels = build_kernels(GridSpec(5, 1.0))
-        state = GaussianFieldState.vacuum(kernels)
-        assert evolve_phase(state, 2.3, 0.0).phase == state.phase
+        trace, _energy = self.branch_phases(0.0)
+        assert all(phi == 0.0 for phi in trace.phases.values())
+        assert np.array_equal(trace.final_spin, np.full(4, 0.5 + 0.0j))
 
     def test_pi_phase(self):
-        kernels = build_kernels(GridSpec(5, 1.0))
-        state = GaussianFieldState.vacuum(kernels)
-        out = evolve_phase(state, np.pi, 1.0)
-        assert out.phase == pytest.approx(np.pi)
+        _trace, energy = self.branch_phases(1.0)
+        trace, _energy = self.branch_phases(np.pi / energy["LL"])
+        assert abs(trace.phases["LL"]) == pytest.approx(np.pi)
 
     def test_relative_phase_sign(self):
         # equal-time evolution of two eigenstates: relative phase is
         # -(E1 - E2) tau
-        kernels = build_kernels(GridSpec(5, 1.0))
-        s1 = evolve_phase(GaussianFieldState.vacuum(kernels), 1.7, 0.5)
-        s2 = evolve_phase(GaussianFieldState.vacuum(kernels), 0.4, 0.5)
-        assert wrap_phase(s1.phase - s2.phase) == pytest.approx(
-            wrap_phase(-(1.7 - 0.4) * 0.5)
+        trace, energy = self.branch_phases(0.5)
+        assert wrap_phase(trace.phases["LR"] - trace.phases["LL"]) == pytest.approx(
+            wrap_phase(-(energy["LR"] - energy["LL"]) * 0.5)
         )
-
-
-class TestDisplace:
-    def test_zero_displacement(self):
-        kernels = build_kernels(GridSpec(5, 1.0))
-        state = GaussianFieldState.vacuum(kernels)
-        out = displace(state, VectorField.zeros(state.grid))
-        assert (out.shift - state.shift).max_abs() == 0.0
-
-    def test_background_displacement_reproduces_source_state(self):
-        grid = GridSpec(15, 1.0)
-        kernels = build_kernels(grid)
-        rho = neutral_random_charges(grid, 9)
-        p_rho = coulomb_momentum(rho, kernels)
-        vacuum = GaussianFieldState.vacuum(kernels)
-        assert (
-            displace(vacuum, p_rho).shift - GaussianFieldState.from_source(rho, kernels).shift
-        ).max_abs() == 0.0
-
-    def test_group_inverse(self):
-        grid = GridSpec(9, 1.0)
-        kernels = build_kernels(grid)
-        rng = np.random.default_rng(10)
-        delta = VectorField.from_arrays(
-            grid, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
-        )
-        state = GaussianFieldState.vacuum(kernels)
-        round_trip = displace(displace(state, delta), -1.0 * delta)
-        assert (round_trip.shift - state.shift).max_abs() == 0.0
-

@@ -373,3 +373,42 @@ class TestFrozenValues:
         values = np.zeros(grid.shape)
         assert ScalarField(grid, values).values is values
         assert not values.flags.writeable
+
+    @staticmethod
+    def protocol_spec(**phases):
+        from latgauge.fme import ProtocolSpec
+
+        return ProtocolSpec(GridSpec(25, 1.0), (12, 7), (12, 17), size=7, **phases)
+
+    def test_protocol_phase_maps_are_read_only(self):
+        from dataclasses import replace
+
+        gamma = {"LL": 0.1, "LR": 0.2, "RL": 0.3, "RR": 0.4}
+        spec = self.protocol_spec(gamma=gamma)
+        gamma["RR"] = 9.0  # the spec holds its own copy
+        assert spec.gamma["RR"] == 0.4
+        for phases in (spec.gamma, spec.gamma_prime):
+            with pytest.raises(TypeError):
+                del phases["RR"]
+            with pytest.raises(TypeError):
+                phases["LL"] = 1.0
+        # a new tau keeps the read-only phases
+        later = replace(spec, tau=2.0)
+        assert later.tau == 2.0 and later.gamma == spec.gamma
+        with pytest.raises(TypeError):
+            del later.gamma["RR"]
+
+    def test_protocol_trace_is_frozen(self):
+        from dataclasses import FrozenInstanceError
+
+        from latgauge.fme import run_protocol
+        from latgauge.spectral import build_kernels
+
+        spec = self.protocol_spec()
+        trace = run_protocol(spec, build_kernels(spec.grid))
+        with pytest.raises(ValueError, match="read-only"):
+            trace.final_spin[0] = 9
+        with pytest.raises(TypeError):
+            trace.phases["LL"] = 9.0
+        with pytest.raises(FrozenInstanceError):
+            trace.h_sigma_a = -1

@@ -37,6 +37,11 @@ def _run_small_protocol():
     fme.run_protocol(spec, spectral.build_kernels(spec.grid))
 
 
+def _run_small_null_test():
+    spec = test_fme.small_spec()
+    return fme.embezzlement_null_test(spec, spectral.build_kernels(spec.grid))
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -52,6 +57,43 @@ def test_wrong_dressing_fails_geometry_check(monkeypatch, mutate):
     )
     with pytest.raises(AssertionError, match="does not repair the Gauss law"):
         _run_small_protocol()
+
+
+@pytest.mark.parametrize(
+    "run", [_run_small_protocol, _run_small_null_test], ids=["protocol", "null-test"]
+)
+def test_undressed_move_fails_dressing_check(monkeypatch, run):
+    # the bare charge move: both callers of the one dressed move prove it
+    geometry = fme.dressing_geometry
+    monkeypatch.setattr(
+        fme, "dressing_geometry", lambda grid, site, direction: (*geometry(grid, site, direction)[:2], 0.0)
+    )
+    with pytest.raises(AssertionError, match="does not repair the Gauss law"):
+        run()
+
+
+def test_merge_in_split_direction_fails_null_test(monkeypatch, tmp_path, capsys):
+    # each charge moves on by two more columns instead of back
+    monkeypatch.setattr(fme, "_MERGE_DIR", fme._SPLIT_DIR)
+    assert _run_small_null_test() is False
+    argv = ["--cache-dir", str(tmp_path), "fme", "--n", "25", "--sites", "12,7:12,17", "--null-test"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out == "embezzlement null test: FAIL\n"
+
+
+def test_sector_energy_at_summed_column_fails_double_sum_oracle(monkeypatch):
+    # D read at (i - rows, j + cols), which equals the true offset
+    # j - cols only where 2 cols = 0 mod N
+    def summed_column(rows, cols, charges, kernels):
+        n = kernels.grid.n
+        total = 0.0
+        for i, j, q in zip(rows, cols, charges):
+            total += q * (charges @ kernels.d_values[(i - rows) % n, (j + cols) % n])
+        return 0.5 * float(total)
+
+    monkeypatch.setattr(gaussian, "sector_energy", summed_column)
+    with pytest.raises(AssertionError):
+        test_gaussian.TestCoulombEnergyShift().test_real_space_double_sum_oracle()
 
 
 def test_perturbed_unit_background_fails_gauss_bound(monkeypatch):

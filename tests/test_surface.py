@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, every function the
-benchmark's layer trace wraps still exists, and every argv the benchmark
-generates or README.md shows still parses."""
+benchmark's layer trace wraps still exists and records calls on a traced
+op, and every argv the benchmark generates or README.md shows still
+parses."""
 
 import importlib
 import importlib.util
@@ -66,6 +67,30 @@ def test_benchmark_argv_parses(name, tmp_path):
     cfg = parse_args(argv)
     assert cfg.command == name.split("-")[0]
     assert cfg.cache_dir == cache
+
+
+@pytest.mark.parametrize("name", WORKLOADS.NAMES)
+def test_traced_op_passes_with_every_expected_layer(name, tmp_path, monkeypatch):
+    # the benchmark's traced run fails on an op that fails its check and
+    # on a layer that the workload expects but that records no call; as
+    # there, the traced op follows an untraced warm-up op
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = _load_perfbench("tracer")
+    workload = WORKLOADS.make(name)
+    workload.prepare(latgauge)
+    out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
+    rng = random.Random(11)
+    assert latgauge.cli.main(workload.make_op(rng, out, cache)[0]) == 0
+    argv, expect = workload.make_op(rng, out, cache)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.op = 1
+        assert latgauge.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    workload.check(out, expect)
+    assert tracing.silent_layers(tracer, name) == []
 
 
 README_EXAMPLES = [
