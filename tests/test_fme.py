@@ -134,12 +134,12 @@ class TestDressedMove:
     def test_move_then_merge_restores_exactly(self):
         spec = small_spec()
         s0 = spec.initial_config()
-        for direction, back in (("left", "right"), ("right", "left")):
-            out, link, there = dressed_move(spec, s0, "A", direction)
-            restored, back_link, back_again = dressed_move(spec, out, "A", back)
-            assert restored.occupied == s0.occupied
-            assert back_link == link
-            assert there + back_again == 0.0
+        for region in ("A", "B"):
+            for direction, back in (("left", "right"), ("right", "left")):
+                out, link, there = dressed_move(spec, s0, region, direction)
+                restored, back_link, back_again = dressed_move(spec, out, region, back)
+                assert restored.occupied == s0.occupied
+                assert (back_link, there + back_again) == (link, 0.0)
 
     def test_dressing_repairs_gauss_law(self, small_kernels):
         spec = small_spec()
@@ -333,17 +333,14 @@ class TestEmbezzlement:
         assert embezzlement_null_test(small_spec(), small_kernels)
 
     def test_single_region_factorization(self):
-        # U_A (x) U_B: split and merge in one region alone restore the
-        # start exactly and never touch the other region's charge
+        # U_A (x) U_B: a move in one region never touches the other
+        # region's charge
         spec = small_spec()
         s0 = spec.initial_config()
         for region, other in (("A", spec.site_b), ("B", spec.site_a)):
-            for direction, back in (("left", "right"), ("right", "left")):
-                moved, link, there = dressed_move(spec, s0, region, direction)
+            for direction in ("left", "right"):
+                moved, _link, _displacement = dressed_move(spec, s0, region, direction)
                 assert other in moved.occupied
-                merged, back_link, back_again = dressed_move(spec, moved, region, back)
-                assert merged.occupied == s0.occupied
-                assert (back_link, there + back_again) == (link, 0.0)
 
     def test_mismatched_table_rejected(self, big_kernels):
         with pytest.raises(ValueError, match="different grid"):
