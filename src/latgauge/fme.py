@@ -77,7 +77,8 @@ class ProtocolSpec:
     together with its displaced positions two columns away, must be
     strictly interior to its region, and the regions must be separated.
     ``gamma`` and ``gamma_prime`` are the configurable relaxation phases
-    per branch (default zero), copied into read-only mappings.
+    per branch (default zero). The sites are stored as tuples and the
+    phases as read-only mappings, so a validated spec cannot change.
     """
 
     grid: GridSpec
@@ -89,6 +90,8 @@ class ProtocolSpec:
     gamma_prime: Mapping[str, float] = dataclass_field(default_factory=_zero_phases)
 
     def __post_init__(self):
+        for name in ("site_a", "site_b"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("gamma", "gamma_prime"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         if not (np.isfinite(self.tau) and self.tau >= 0):

@@ -380,9 +380,15 @@ class TestFrozenValues:
 
         return ProtocolSpec(GridSpec(25, 1.0), (12, 7), (12, 17), size=7, **phases)
 
-    def test_protocol_phase_maps_are_read_only(self):
+    def test_protocol_spec_is_immutable(self):
         from dataclasses import replace
 
+        from latgauge.fme import ProtocolSpec
+
+        sites = [12, 7], [12, 17]
+        spec = ProtocolSpec(GridSpec(25, 1.0), *sites, size=7)
+        with pytest.raises(TypeError):
+            spec.site_a[1] = 3
         gamma = {"LL": 0.1, "LR": 0.2, "RL": 0.3, "RR": 0.4}
         spec = self.protocol_spec(gamma=gamma)
         gamma["RR"] = 9.0  # the spec holds its own copy
