@@ -6,16 +6,18 @@ magnetic operator.
 All coefficients are exact rationals; stencil factors 1/(2a) embed
 exactly because binary floats are rationals. Commutators of field-linear
 operators are always scalars, so gauge invariance reduces to an exact
-nullspace computation. All exact elimination (generator independence,
-gauge-invariant nullspaces and the center label pick) is one sparse,
-incremental reduced row echelon form.
+nullspace computation. All exact elimination (generator independence
+and gauge-invariant nullspaces) is one sparse, incremental reduced row
+echelon form.
 
 Centers need no elimination. A square region's algebra is generated by
 its p components and its interior magnetic crosses b; p-p and b-b
 commutators vanish, so the pairing has one nonzero block, ``[p, b]``,
 which is the crosses' coefficient matrix. The crosses are exactly
 independent, so no b admixture is central, the center is the pure-p
-kernel of that block, and its dimension is ``2M^2 - (M-2)^2``.
+kernel of that block, and its dimension is ``2M^2 - (M-2)^2``. Nor do
+the center's labels: the basis is the catalog of crosses and edge terms
+minus four entries fixed in closed form.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ class LinearOperator:
 def _clean(coeffs) -> dict:
     if not coeffs:
         return {}
-    return {k: Fraction(v) for k, v in coeffs.items() if Fraction(v) != 0}
+    return {k: f for k, v in coeffs.items() if (f := Fraction(v)) != 0}
 
 
 def _merge(a: dict, b: dict, sign: int) -> dict:
@@ -262,7 +264,7 @@ def check_dressing(
 def _check_relative_dressing(grid, target, link, displacement) -> None:
     source = (0, 0)
     dressing = dressing_exponent(grid, link, displacement)
-    for cross in sorted(set(_touched_crosses(dressing, grid)) | {source, target}):
+    for cross in sorted(set(_touched_crosses([link], grid)) | {source, target}):
         expected = (cross == source) - (cross == target)
         got = commutator_scalar(dressing, constraint_operator(grid, cross))
         if got != expected:
@@ -289,23 +291,24 @@ def commutator_scalar(lhs: LinearOperator, rhs: LinearOperator) -> Fraction:
     return total
 
 
-def _touched_crosses(op: LinearOperator, grid: GridSpec) -> list[Site]:
-    """The sites whose Gauss cross stencil touches the operator's support:
-    the only crosses that can have a nonzero commutator with it."""
-    sites = set()
-    for (site, _comp) in list(op.q_coeffs) + list(op.p_coeffs):
-        i, j = site
-        for di, dj in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-            sites.add(grid.wrap(i + di, j + dj))
-    return sorted(sites)
+def _touched_crosses(sites, grid: GridSpec) -> list[Site]:
+    """The sites whose (Gauss or magnetic) cross stencil touches one of
+    ``sites``, in sorted order: their wrapped 4-neighbours, the only
+    crosses that can have a nonzero commutator with an operator supported
+    on ``sites``."""
+    return sorted(
+        {grid.wrap(i + di, j + dj) for i, j in sites
+         for di, dj in ((0, 1), (0, -1), (1, 0), (-1, 0))}
+    )
 
 
 def is_gauge_invariant(op: LinearOperator, grid: GridSpec) -> bool:
     """True iff the operator commutes with the Gauss cross at every
     lattice site; only the crosses it touches are evaluated."""
+    support = [site for site, _comp in (*op.q_coeffs, *op.p_coeffs)]
     return all(
         commutator_scalar(op, constraint_operator(grid, site)) == 0
-        for site in _touched_crosses(op, grid)
+        for site in _touched_crosses(support, grid)
     )
 
 
@@ -340,17 +343,16 @@ class Region:
         i0, j0 = self.origin
         return i0 <= i < i0 + self.size and j0 <= j < j0 + self.size
 
-    def stencil_interior_sites(self) -> list[Site]:
-        """Sites whose full 4-neighbour stencil stays inside the region."""
+    def is_interior(self, site: Site) -> bool:
+        """Whether the site's full 4-neighbour stencil stays inside the region."""
         i0, j0 = self.origin
-        return [
-            (i0 + di, j0 + dj)
-            for di in range(1, self.size - 1)
-            for dj in range(1, self.size - 1)
-        ]
+        return i0 < site[0] < i0 + self.size - 1 and j0 < site[1] < j0 + self.size - 1
+
+    def stencil_interior_sites(self) -> list[Site]:
+        return [s for s in self.sites() if self.is_interior(s)]
 
     def boundary_sites(self) -> list[Site]:
-        return [s for s in self.sites() if s not in set(self.stencil_interior_sites())]
+        return [s for s in self.sites() if not self.is_interior(s)]
 
     def corner_sites(self) -> list[Site]:
         i0, j0 = self.origin
@@ -487,13 +489,9 @@ def gauge_invariant_nullspace(support, grid: GridSpec) -> list[LinearOperator]:
     coords = {(s, c) for s in sites for c in _COMPONENTS}
     # conditions: [f(q), cross(n, m)] = 0; only crosses touching the
     # support produce nonzero rows
-    cross_sites = set()
-    for (i, j) in sites:
-        for di, dj in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-            cross_sites.add(grid.wrap(i + di, j + dj))
     rows = [
         {k: v for k, v in constraint_operator(grid, cs).p_coeffs.items() if k in coords}
-        for cs in sorted(cross_sites)
+        for cs in _touched_crosses(sites, grid)
     ]
     return [LinearOperator(q_coeffs=vec) for vec in _nullspace(rows, coords)]
 
@@ -520,26 +518,18 @@ def local_generators(region: Region, grid: GridSpec) -> GeneratorSet:
     return GeneratorSet(gens, labels)
 
 
-def _truncate_to_region(op: LinearOperator, region: Region) -> LinearOperator:
-    return LinearOperator(
-        q_coeffs={k: v for k, v in op.q_coeffs.items() if region.contains(k[0])},
-        p_coeffs={k: v for k, v in op.p_coeffs.items() if region.contains(k[0])},
-    )
-
-
 def _center_catalog(region: Region, grid: GridSpec) -> list[tuple[LinearOperator, Label]]:
     """Candidate center elements in deterministic preference order:
     interior Gauss crosses, boundary-truncated crosses, boundary-normal
     single p components, then corner p pairs (reported per component)."""
     out: list[tuple[LinearOperator, Label]] = []
-    interior = region.stencil_interior_sites()
-    for site in interior:
+    for site in region.stencil_interior_sites():
         out.append((constraint_operator(grid, site), Label("CROSS", site)))
-    corner_set = set(region.corner_sites())
     for site in region.boundary_sites():
-        truncated = _truncate_to_region(constraint_operator(grid, site), region)
-        if not truncated.is_zero():
-            out.append((truncated, Label("EDGE", site, "cross")))
+        cross = constraint_operator(grid, site).p_coeffs
+        truncated = {k: v for k, v in cross.items() if region.contains(k[0])}
+        out.append((LinearOperator(p_coeffs=truncated), Label("EDGE", site, "cross")))
+    corner_set = set(region.corner_sites())
     i0, j0 = region.origin
     m = region.size
     for site in region.boundary_sites():
@@ -556,75 +546,84 @@ def _center_catalog(region: Region, grid: GridSpec) -> list[tuple[LinearOperator
     return out
 
 
-def _center_nullspace(region: Region, grid: GridSpec):
-    """Center data read off the block structure of the pairing; returns
-    (dimension, interior magnetic crosses, the region's p coordinates).
-    ``local_generators`` has already proved the crosses independent, so
-    no elimination is needed here."""
-    gens = local_generators(region, grid)
-    crosses = [
-        g for g, label in zip(gens.generators, gens.labels) if label.kind == "B"
-    ]
-    p_coords = {key for g in gens.generators for key in g.p_coeffs}
-    return len(p_coords) - len(crosses), crosses, p_coords
-
-
-_NULLSPACE_CACHE: dict = {}
-
-
-def _center_nullspace_cached(region: Region, grid: GridSpec):
-    key = (region, grid)
-    if key not in _NULLSPACE_CACHE:
-        _NULLSPACE_CACHE[key] = _center_nullspace(region, grid)
-    return _NULLSPACE_CACHE[key]
+def _dropped_labels(region: Region, grid: GridSpec) -> set[Label]:
+    """The four catalog entries the center basis leaves out: the last
+    entry, in catalog order, of each of the catalog's four relations."""
+    bottom, left = region.origin[0] + region.size - 1, region.origin[1]
+    right = left + region.size - 1
+    if region.size % 2:
+        corner = {Label("CORNER", (bottom, right), comp) for comp in _COMPONENTS}
+        return corner | {Label("EDGE", (bottom, right), "cross"),
+                         Label("EDGE", (bottom, right - 1), "normal-py")}
+    if region.size == grid.n:  # the whole torus: the edge crosses close through the wrap
+        sites = ((bottom - 1, left), (bottom - 1, right), (bottom, right - 1), (bottom, right))
+        return {Label("EDGE", site, "cross") for site in sites}
+    return {Label("CORNER", site, comp) for site in ((bottom, left), (bottom, right))
+            for comp in _COMPONENTS}
 
 
 def center_basis(region: Region, grid: GridSpec) -> GeneratorSet:
     """Exact basis of the center of the local algebra, labeled against
     the catalog of interior crosses and edge terms.
 
-    The pairing of the generators has one nonzero block, ``[p, b]``, the
-    crosses' coefficient matrix; the crosses are independent, so the
-    center is pure p and has dimension ``2M^2 - (M-2)^2``. The returned
-    basis is the deterministic greedy selection of catalog elements
-    spanning it, each checked central by ``in_center_span``.
+    The center is pure p, of dimension ``M^2 + 4M - 4``, and the catalog
+    has ``(M-2)^2 + 8M - 4`` entries, so it obeys four linear relations:
+    in a region smaller than the grid, the stride-2 cross stencil splits
+    the sites into four parity classes, and on each class the crosses
+    telescope to border p components that the edge and corner entries
+    carry. The basis drops one entry of each relation and proves the
+    rest a basis on every call: each entry is central
+    (``in_center_span``), the one ``GeneratorSet`` elimination proves
+    them independent, and their number is ``center_dimension``.
     """
     dim = center_dimension(region, grid)
-
-    selected_ops: list[LinearOperator] = []
-    selected_labels: list[Label] = []
-    span = _SparseRref()
+    dropped = _dropped_labels(region, grid)
+    ops: list[LinearOperator] = []
+    labels: list[Label] = []
     for op, label in _center_catalog(region, grid):
-        if len(selected_ops) == dim:
-            break
+        if label in dropped:
+            continue
         if not in_center_span(op, region, grid):
             raise AssertionError(f"catalog element {label} is not central")
-        if span.insert(_row(op)):
-            selected_ops.append(op)
-            selected_labels.append(label)
-    if len(selected_ops) != dim:
-        raise AssertionError(
-            f"catalog spans {len(selected_ops)} of {dim} center dimensions"
-        )
-    return GeneratorSet(selected_ops, selected_labels)
+        ops.append(op)
+        labels.append(label)
+    basis = GeneratorSet(ops, labels)
+    if len(ops) != dim:
+        raise AssertionError(f"catalog keeps {len(ops)} entries for {dim} center dimensions")
+    return basis
+
+
+# center dimensions; the benchmark empties it per op, as a new process has it
+_NULLSPACE_CACHE: dict = {}
 
 
 def center_dimension(region: Region, grid: GridSpec) -> int:
     """Dimension of the center, ``2M^2 - (M-2)^2``: region p components
-    minus independent interior crosses."""
-    return _center_nullspace_cached(region, grid)[0]
+    minus interior crosses, which ``local_generators`` proves
+    independent. Memoized in ``_NULLSPACE_CACHE``."""
+    key = (region, grid)
+    if key not in _NULLSPACE_CACHE:
+        kinds = [label.kind for label in local_generators(region, grid).labels]
+        _NULLSPACE_CACHE[key] = kinds.count("P") - kinds.count("B")
+    return _NULLSPACE_CACHE[key]
 
 
 def in_center_span(op: LinearOperator, region: Region, grid: GridSpec) -> bool:
     """Exact membership test of ``op`` in the center: no scalar, no q
     part, p support inside the region, and commuting with every interior
-    magnetic cross."""
-    _dim, crosses, p_coords = _center_nullspace_cached(region, grid)
+    magnetic cross. Only the crosses next to the p support can pair with
+    it, so only those are evaluated."""
+    region.validate_on(grid)
+    support = [site for site, _comp in op.p_coeffs]
     return (
         op.scalar == 0
         and not op.q_coeffs
-        and p_coords.issuperset(op.p_coeffs)
-        and all(commutator_scalar(op, b) == 0 for b in crosses)
+        and all(region.contains(site) for site in support)
+        and all(
+            commutator_scalar(op, b_operator(grid, site)) == 0
+            for site in _touched_crosses(support, grid)
+            if region.is_interior(site)
+        )
     )
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from latgauge.algebra import (
     GeneratorSet,
-    Label,
     LinearOperator,
     Region,
     b_operator,
@@ -192,6 +191,18 @@ class TestLocalGenerators:
             Region((8, 8), 5).validate_on(GridSpec(11, 1.0))
 
 
+class TestRegion:
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_boundary_and_interior_partition_the_sites(self, m):
+        region = Region((2, 1), m)
+        boundary, interior = region.boundary_sites(), region.stencil_interior_sites()
+        assert interior == [(2 + di, 1 + dj) for di in range(1, m - 1) for dj in range(1, m - 1)]
+        assert len(boundary) == 4 * (m - 1)
+        assert not set(boundary) & set(interior)
+        assert sorted(boundary + interior) == region.sites()
+        assert boundary == sorted(boundary)  # in sites() order
+
+
 class TestCenter:
     def test_m3_dimension_from_exact_nullspace(self):
         # one magnetic cross pairs off exactly one momentum direction
@@ -236,6 +247,9 @@ class TestCenter:
         region = Region((3, 3), 5)
         assert not in_center_span(b_operator(grid, (5, 5)), region, grid)
         assert not in_center_span(p_op((0, 0), "x"), region, grid)  # outside
+        # pure p inside the region, paired only by the crosses beside it
+        assert not in_center_span(p_op((5, 5), "x"), region, grid)
+        assert not in_center_span(p_op((3, 5), "x"), region, grid)  # tangential
 
     @pytest.mark.parametrize("m,n", [(3, 9), (4, 11), (7, 15)])
     def test_dimension_formula_across_sizes(self, m, n):
@@ -277,31 +291,69 @@ class TestCenterOracle:
         assert not in_center_span(mixed, region, grid)
 
 
+def _literal_in_center(op, region, grid):
+    """The membership test ``in_center_span`` replaces: the commutator
+    with every interior magnetic cross of the region."""
+    coords = {(site, comp) for site in region.sites() for comp in ("x", "y")}
+    return (
+        op.scalar == 0
+        and not op.q_coeffs
+        and coords.issuperset(op.p_coeffs)
+        and all(
+            commutator_scalar(op, b_operator(grid, site)) == 0
+            for site in region.stencil_interior_sites()
+        )
+    )
+
+
+def _greedy_center_basis(region, grid):
+    """The label pick ``center_basis`` replaces: catalog entries in
+    order, each kept when it grows an exact elimination, until the
+    center's dimension is reached."""
+    m = region.size
+    dim = 2 * m * m - (m - 2) ** 2
+    ops, labels = [], []
+    span = _SparseRref()
+    for op, label in _center_catalog(region, grid):
+        if len(ops) == dim:
+            break
+        if span.insert(_row(op)):
+            ops.append(op)
+            labels.append(label)
+    assert len(ops) == dim
+    return ops, labels
+
+
+# per M: (N, a, origin), with odd and even N, a != 1, regions on the
+# grid's first and last rows and columns, and whole-torus regions (N = M)
+_LABEL_CASES = {
+    3: (3, 0.5, (0, 0)),
+    4: (4, 3.0, (0, 0)),
+    5: (12, 3.0, (7, 0)),
+    6: (6, 0.5, (0, 0)),
+    7: (16, 0.5, (0, 9)),
+    8: (13, 3.0, (5, 5)),
+    9: (10, 1.0, (1, 0)),
+    10: (15, 0.5, (2, 2)),
+}
+
+
 class TestCenterLabels:
-    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    @pytest.mark.parametrize("m", sorted(_LABEL_CASES))
     def test_catalog_kept_but_four_bottom_corner_entries(self, m):
-        # pins the greedy label pick that `latgauge algebra --dump` prints
-        grid = GridSpec(m + 4, 1.0)
-        region = Region((2, 2), m)
-        kept = set(center_basis(region, grid).labels)
+        # the closed-form pick against the greedy pick, which fixes what
+        # `latgauge algebra --dump` prints
+        n, a, origin = _LABEL_CASES[m]
+        grid = GridSpec(n, a)
+        region = Region(origin, m)
+        basis = center_basis(region, grid)
+        ops, labels = _greedy_center_basis(region, grid)
+        assert basis.labels == labels
+        assert basis.generators == ops
+        kept = set(labels)
         dropped = [label for _, label in _center_catalog(region, grid) if label not in kept]
-        bottom = 2 + m - 1
-        left, right = 2, 2 + m - 1
-        if m % 2 == 0:
-            expected = [
-                Label("CORNER", (bottom, left), "x"),
-                Label("CORNER", (bottom, left), "y"),
-                Label("CORNER", (bottom, right), "x"),
-                Label("CORNER", (bottom, right), "y"),
-            ]
-        else:
-            expected = [
-                Label("EDGE", (bottom, right), "cross"),
-                Label("EDGE", (bottom, right - 1), "normal-py"),
-                Label("CORNER", (bottom, right), "x"),
-                Label("CORNER", (bottom, right), "y"),
-            ]
-        assert dropped == expected
+        bottom = origin[0] + m - 1
+        assert len(dropped) == 4 and all(label.site[0] >= bottom - 1 for label in dropped)
 
 
 def _dense_rref(rows):
@@ -404,6 +456,40 @@ class TestSparseRref:
         ncols, rows, _probe = case
         null = _nullspace([_sparse(r) for r in rows], range(ncols))
         assert [_dense(v, ncols) for v in null] == _dense_nullspace(rows, ncols)
+
+
+@st.composite
+def _center_probes(draw):
+    """A region on a small grid, often at its edges, where neighbours
+    wrap, and an operator mixing its catalog entries with p terms at any
+    site, inside the region or not, and sometimes a q term or a scalar."""
+    n = draw(st.integers(3, 8))
+    m = draw(st.integers(3, n))
+    corner = st.sampled_from([0, n - m]) | st.integers(0, n - m)
+    region = Region((draw(corner), draw(corner)), m)
+    grid = GridSpec(n, draw(st.sampled_from([1.0, 0.5, 3.0])))
+    catalog = [op for op, _label in _center_catalog(region, grid)]
+    anywhere = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    site = st.sampled_from(region.sites()) | anywhere
+    op = LinearOperator()
+    for k, c in draw(st.lists(st.tuples(st.integers(0, len(catalog) - 1), _SMALL), max_size=3)):
+        op = op + c * catalog[k]
+    p_terms = st.lists(st.tuples(site, st.sampled_from("xy"), _SMALL), min_size=1, max_size=2)
+    for s, comp, c in draw(p_terms):
+        op = op + c * p_op(s, comp)
+    if draw(st.integers(0, 5)) == 5:
+        op = op + q_op(draw(site), draw(st.sampled_from("xy")))
+    if draw(st.integers(0, 5)) == 5:
+        op = op + LinearOperator(scalar=draw(_SMALL))
+    return op, region, grid
+
+
+class TestCenterSpan:
+    @settings(max_examples=60, deadline=None)
+    @given(_center_probes())
+    def test_matches_every_interior_cross(self, probe):
+        op, region, grid = probe
+        assert in_center_span(op, region, grid) == _literal_in_center(op, region, grid)
 
 
 class TestSectorLabel:

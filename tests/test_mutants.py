@@ -11,11 +11,13 @@ import re
 import numpy as np
 import pytest
 
+import test_algebra
 import test_cli
 import test_fme
 import test_gaussian
 import test_spectral
-from latgauge import acceptance, cli, fme, gaussian, spectral
+from latgauge import acceptance, algebra, cli, fme, gaussian, spectral
+from latgauge.algebra import Label, Region
 from latgauge.grid import GridSpec, VectorField
 
 
@@ -197,3 +199,57 @@ def test_dropped_criterion_check_fails_unknown_criterion_test(monkeypatch, capsy
     monkeypatch.setitem(cli._COMMANDS, "selftest", without_name_check)
     with pytest.raises(AssertionError):
         test_cli.TestSelftestCommand().test_unknown_criterion_is_usage_error(capsys)
+
+
+def _other_parity_dropped(region, grid):
+    # the four entries the closed form drops for a region of the other parity
+    bottom, left = region.origin[0] + region.size - 1, region.origin[1]
+    right = left + region.size - 1
+    if region.size % 2:
+        return {Label("CORNER", site, comp) for site in ((bottom, left), (bottom, right)) for comp in "xy"}
+    return {
+        Label("EDGE", (bottom, right), "cross"),
+        Label("EDGE", (bottom, right - 1), "normal-py"),
+        Label("CORNER", (bottom, right), "x"),
+        Label("CORNER", (bottom, right), "y"),
+    }
+
+
+def test_other_parity_drop_fails_independence_proof(monkeypatch, tmp_path):
+    # odd M: the kept entries include a dependent one
+    monkeypatch.setattr(algebra, "_dropped_labels", _other_parity_dropped)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        algebra.center_basis(Region((2, 2), 5), GridSpec(11, 1.0))
+    argv = ["--cache-dir", str(tmp_path), "algebra", "--n", "11", "--region", "2,2,5",
+            "--dump", str(tmp_path / "dump.json")]
+    assert cli.main(argv) == 1
+
+
+def test_other_parity_drop_fails_greedy_label_oracle(monkeypatch):
+    # even M: the kept entries are another basis of the center, so every
+    # proof passes and only the labels differ from the greedy pick's
+    monkeypatch.setattr(algebra, "_dropped_labels", _other_parity_dropped)
+    with pytest.raises(AssertionError):
+        test_algebra.TestCenterLabels().test_catalog_kept_but_four_bottom_corner_entries(8)
+
+
+def test_center_dimension_off_by_one_fails_size_check(monkeypatch):
+    dimension = algebra.center_dimension
+    monkeypatch.setattr(algebra, "center_dimension", lambda region, grid: dimension(region, grid) + 1)
+    with pytest.raises(AssertionError, match="center dimensions"):
+        algebra.center_basis(Region((2, 2), 6), GridSpec(11, 1.0))
+
+
+def test_skipped_cross_commutators_fail_non_member_test(monkeypatch):
+    # support and q checks alone accept any p combination in the region;
+    # TestCenterOracle's `mixed` operator has a q part, so it misses this
+    def without_commutators(op, region, grid):
+        return (
+            op.scalar == 0
+            and not op.q_coeffs
+            and all(region.contains(site) for site, _comp in op.p_coeffs)
+        )
+
+    monkeypatch.setattr(test_algebra, "in_center_span", without_commutators)
+    with pytest.raises(AssertionError):
+        test_algebra.TestCenter().test_non_member_rejected()
