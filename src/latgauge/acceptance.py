@@ -229,21 +229,13 @@ def criterion_7_center():
     ]
 
 
-def _small_protocol_spec(n=25, distance=10, tau=0.0):
-    grid = GridSpec(n, 1.0)
-    row = n // 2
-    col_a = (n - distance) // 2
-    col_b = col_a + distance
-    return fme.ProtocolSpec(grid, (row, col_a), (row, col_b), size=7, tau=tau)
-
-
 def criterion_8_dressing():
     """Every dressed move keeps the sourced constraint residual below
     1e-9; with the dressing left off the residual is exactly one at the
     two affected crosses and zero elsewhere. The fields are built here
     from the start background and the dressing ``fme.dressed_move``
     returns: the numerical check of its exact proof."""
-    spec = _small_protocol_spec()
+    spec = fme.ProtocolSpec(GridSpec(25, 1.0), (12, 7), (12, 17), size=7)
     kernels = spectral.build_kernels(spec.grid)
     s0 = spec.initial_config()
     with warnings.catch_warnings():
@@ -278,10 +270,10 @@ def criterion_9_embezzlement():
     """Splitting immediately followed by merging restores the initial
     state exactly, and the tau = 0 protocol yields entropy below 1e-12."""
     grid = GridSpec(101, 1.0)
-    spec = fme.ProtocolSpec(grid, (50, 40), (50, 60), size=7, tau=0.0)
+    spec = fme.ProtocolSpec(grid, (50, 40), (50, 60), size=7, taus=(0.0,))
     kernels = spectral.build_kernels(grid)
     null_ok = fme.embezzlement_null_test(spec, kernels)
-    trace = fme.run_protocol(spec, kernels)
+    (trace,) = fme.run_protocol(spec, kernels)
     entropy = trace.h_sigma_a
     ok = null_ok and entropy < 1e-12
     return ok, [
@@ -304,23 +296,18 @@ def criterion_10_fme_entanglement():
     lines = [f"2D(d) - D(d+4) - D(d-4) = {curvature:.6e} (nonzero)"]
     ok = abs(curvature) > 1e-6
 
-    def make_spec(tau):
-        return fme.ProtocolSpec(grid, (50, 40), (50, 60), size=7, tau=tau)
-
+    # one spec: the 21-point sweep, the pi-imbalance tau and a generic tau
     tau_star = np.pi / abs(curvature)
-    worst_mismatch = 0.0
-    for tau in np.linspace(0.0, 2.0 * tau_star, 21):
-        trace = fme.run_protocol(make_spec(float(tau)), kernels)
-        expected = fme.entropy_from_phases(trace.phases)
-        worst_mismatch = max(worst_mismatch, abs(trace.h_sigma_a - expected))
+    taus = (*np.linspace(0.0, 2.0 * tau_star, 21), tau_star, 0.37 * tau_star)
+    spec = fme.ProtocolSpec(grid, (50, 40), (50, 60), size=7, taus=taus)
+    *sweep, peak, generic = fme.run_protocol(spec, kernels)
+    worst_mismatch = max(abs(t.h_sigma_a - fme.entropy_from_phases(t.phases)) for t in sweep)
     ok = ok and worst_mismatch < 1e-9
     lines.append(f"worst |entropy - closed form| over sweep {worst_mismatch:.3e} (< 1e-9)")
-    peak = fme.run_protocol(make_spec(float(tau_star)), kernels).h_sigma_a
-    ok = ok and abs(peak - np.log(2.0)) < 1e-6
-    lines.append(f"entropy at pi-imbalance tau {peak:.9f} vs ln 2 (within 1e-6)")
-    generic = fme.run_protocol(make_spec(float(0.37 * tau_star)), kernels).h_sigma_a
-    ok = ok and generic > 1e-6
-    lines.append(f"entropy at generic tau {generic:.6f} (> 0)")
+    ok = ok and abs(peak.h_sigma_a - np.log(2.0)) < 1e-6
+    lines.append(f"entropy at pi-imbalance tau {peak.h_sigma_a:.9f} vs ln 2 (within 1e-6)")
+    ok = ok and generic.h_sigma_a > 1e-6
+    lines.append(f"entropy at generic tau {generic.h_sigma_a:.6f} (> 0)")
     return ok, lines
 
 

@@ -315,7 +315,8 @@ def is_gauge_invariant(op: LinearOperator, grid: GridSpec) -> bool:
 @dataclass(frozen=True)
 class Region:
     """Axis-aligned ``size x size`` block of sites whose top-left site is
-    ``origin``, not wrapping the boundary."""
+    ``origin``, on the grid without wrapping and smaller than it, so that
+    the region has a boundary."""
 
     origin: Site
     size: int
@@ -329,6 +330,8 @@ class Region:
         n = grid.n
         if not (0 <= i0 and 0 <= j0 and i0 + self.size <= n and j0 + self.size <= n):
             raise ValueError(f"region {self} does not fit on the {n}x{n} grid")
+        if self.size == n:
+            raise ValueError(f"region {self} covers the whole {n}x{n} torus and has no boundary")
 
     def sites(self) -> list[Site]:
         i0, j0 = self.origin
@@ -546,7 +549,7 @@ def _center_catalog(region: Region, grid: GridSpec) -> list[tuple[LinearOperator
     return out
 
 
-def _dropped_labels(region: Region, grid: GridSpec) -> set[Label]:
+def _dropped_labels(region: Region) -> set[Label]:
     """The four catalog entries the center basis leaves out: the last
     entry, in catalog order, of each of the catalog's four relations."""
     bottom, left = region.origin[0] + region.size - 1, region.origin[1]
@@ -555,9 +558,6 @@ def _dropped_labels(region: Region, grid: GridSpec) -> set[Label]:
         corner = {Label("CORNER", (bottom, right), comp) for comp in _COMPONENTS}
         return corner | {Label("EDGE", (bottom, right), "cross"),
                          Label("EDGE", (bottom, right - 1), "normal-py")}
-    if region.size == grid.n:  # the whole torus: the edge crosses close through the wrap
-        sites = ((bottom - 1, left), (bottom - 1, right), (bottom, right - 1), (bottom, right))
-        return {Label("EDGE", site, "cross") for site in sites}
     return {Label("CORNER", site, comp) for site in ((bottom, left), (bottom, right))
             for comp in _COMPONENTS}
 
@@ -577,7 +577,7 @@ def center_basis(region: Region, grid: GridSpec) -> GeneratorSet:
     them independent, and their number is ``center_dimension``.
     """
     dim = center_dimension(region, grid)
-    dropped = _dropped_labels(region, grid)
+    dropped = _dropped_labels(region)
     ops: list[LinearOperator] = []
     labels: list[Label] = []
     for op, label in _center_catalog(region, grid):

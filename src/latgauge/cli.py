@@ -14,7 +14,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -267,7 +267,9 @@ def _cmd_coulomb(cfg: RunConfig) -> int:
     }
     if len(sites) == 2:
         (i1, j1), (i2, j2) = sites
-        result["pair_distance"] = float(np.hypot(i2 - i1, j2 - j1))
+        # the minimal-image separation, at which D is read
+        di, dj = grid.wrap(i2 - i1, j2 - j1)
+        result["pair_distance"] = float(np.hypot(min(di, grid.n - di), min(dj, grid.n - dj)))
         result["D_of_d"] = kernels.d(i2 - i1, j2 - j1)
     _write(p["out"], json.dumps(result, indent=2) + "\n")
     return 0
@@ -278,19 +280,16 @@ def _cmd_fme(cfg: RunConfig) -> int:
     sites = p["sites"]
     if len(sites) != 2:
         raise UsageError(f"--sites needs two sites, got {len(sites)}")
+    taus = [p["tau"]] if p["sweep_tau"] is None else p["sweep_tau"]
     with _usage_errors():
-        spec = ProtocolSpec(GridSpec(p["n"], p["a"]), *sites, size=p["region_size"], tau=p["tau"])
+        spec = ProtocolSpec(GridSpec(p["n"], p["a"]), *sites, size=p["region_size"], taus=taus)
     kernels = load_or_build_kernels(spec.grid, cfg.cache_dir)
     if p["null_test"]:
         ok = embezzlement_null_test(spec, kernels)
         print(f"embezzlement null test: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
-    taus = [p["tau"]] if p["sweep_tau"] is None else p["sweep_tau"]
     lines = ["tau,phi_LL,phi_LR,phi_RL,phi_RR,entropy"]
-    for tau in taus:
-        with _usage_errors():
-            spec = replace(spec, tau=float(tau))
-        trace = run_protocol(spec, kernels)
+    for tau, trace in zip(spec.taus, run_protocol(spec, kernels)):
         phases = [trace.phases[b] for b in ("LL", "LR", "RL", "RR")]
         lines.append(",".join(_float_csv(x) for x in (tau, *phases, trace.h_sigma_a)))
     _write(p["out"], "\n".join(lines) + "\n")

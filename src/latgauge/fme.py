@@ -77,15 +77,17 @@ class ProtocolSpec:
     together with its displaced positions two columns away, must be
     strictly interior to its region, and the regions must be separated.
     ``gamma`` and ``gamma_prime`` are the configurable relaxation phases
-    per branch (default zero). The sites are stored as tuples and the
-    phases as read-only mappings, so a validated spec cannot change.
+    per branch (default zero). ``taus`` are the evolution times of step
+    3, one protocol trace each. The sites and taus are stored as tuples
+    and the phases as read-only mappings, so a validated spec cannot
+    change.
     """
 
     grid: GridSpec
     site_a: tuple[int, int]
     site_b: tuple[int, int]
     size: int = 7
-    tau: float = 0.0
+    taus: tuple[float, ...] = (0.0,)
     gamma: Mapping[str, float] = dataclass_field(default_factory=_zero_phases)
     gamma_prime: Mapping[str, float] = dataclass_field(default_factory=_zero_phases)
 
@@ -94,8 +96,10 @@ class ProtocolSpec:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("gamma", "gamma_prime"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
-        if not (np.isfinite(self.tau) and self.tau >= 0):
-            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
+        object.__setattr__(self, "taus", tuple(map(float, self.taus)))
+        for tau in self.taus:
+            if not (np.isfinite(tau) and tau >= 0):
+                raise ValueError(f"tau must be finite and nonnegative, got {tau}")
         if self.site_a[0] != self.site_b[0]:
             raise ValueError("both charges must sit on one row")
         regions = (_region_of(self, "A"), _region_of(self, "B"))
@@ -200,14 +204,58 @@ def _branch_moves(spec, matter, name, directions):
     return matter, dressings
 
 
+def _branch_walk(spec: ProtocolSpec, kernels: KernelTable) -> list:
+    """Steps 1 and 4, which no tau reaches: per branch, the step-2 matter
+    and the dressings of its split and merge moves. Every sector holds
+    the start charges relocated, so one ``gauss_bound`` proves the Gauss
+    law of all five ground states and, with ``check_dressing`` per move,
+    of all eight dressed states. The first branch whose matter does not
+    return raises ``NotSeparable``."""
+    if kernels.grid != spec.grid:
+        raise ValueError("kernel table lives on a different grid")
+    s0 = spec.initial_config()
+    gauss_bound([1.0] * len(s0.occupied), kernels)
+    walk = []
+    for name in BRANCHES:
+        moved, split = _branch_moves(spec, s0, name, _SPLIT_DIR)
+        merged, merge = _branch_moves(spec, moved, name, _MERGE_DIR)
+        if merged.occupied != s0.occupied:
+            raise NotSeparable(f"branch {name} does not return to the start matter")
+        walk.append((moved, split + merge))
+    return walk
+
+
 def _state_phase(phi: float) -> float:
     # the phase a field state held after each step: wrapped by the step,
-    # then again by the state it was stored on, kept for its bits
+    # then again by the state it was stored on, kept for its bits: the
+    # second wrap turns the -pi the first returns just above pi into pi
     return wrap_phase(wrap_phase(phi))
 
 
-def run_protocol(spec: ProtocolSpec, kernels: KernelTable) -> ProtocolTrace:
-    """Execute steps 0-5 and return the branch phases and final spins.
+def _trace(spec: ProtocolSpec, energies: list[float], tau: float) -> ProtocolTrace:
+    """One tau's trace: steps 2-5 carry each branch's phase, priced by
+    its energy, through the wraps the field states made."""
+    phases, final_spin = {}, []
+    for name, e_shift in zip(BRANCHES, energies):
+        # step 2: relaxation to the branch ground state, phase gamma(s)
+        # added to the start state's phase 0
+        phase = _state_phase(0.0 + spec.gamma[name])
+        # step 3: eigenstate evolution; the vacuum energy is common to
+        # all branches and dropped, leaving phi(s) = -(E_rho(s) - E_0) tau
+        phases[name] = wrap_phase(-e_shift * tau)
+        phase = _state_phase(phase - e_shift * tau)
+        # step 4: merging
+        phase = _state_phase(phase)
+        # step 5: relax to the start sector, phase gamma'(s); only the
+        # phase differs across branches
+        phase = _state_phase(phase + spec.gamma_prime[name])
+        final_spin.append((0.5 + 0.0j) * np.exp(1j * phase))
+    final_spin = np.array(final_spin)
+    return ProtocolTrace(final_spin, phases, vn_entropy(reduced_spin_a(final_spin)))
+
+
+def run_protocol(spec: ProtocolSpec, kernels: KernelTable) -> tuple[ProtocolTrace, ...]:
+    """Execute steps 0-5 and return one trace per tau in ``spec.taus``.
 
     Step 0 prepares the product state: both spins in (up+down)/sqrt(2),
     matter in the two-charge start configuration, field in that sector's
@@ -219,52 +267,16 @@ def run_protocol(spec: ProtocolSpec, kernels: KernelTable) -> ProtocolTrace:
     out the spin state.
 
     The unitaries are U_A (x) U_B conditioned on spin, so the branches
-    never meet before the readout, and each carries only its matter and
-    its phase; no field is built. Every sector holds the start sector's
-    charges relocated, so one ``gauss_bound`` proves the Gauss law of
-    all five ground states and, with ``check_dressing`` per move, of all
-    eight dressed states. The sector energies are D lookups at the
-    occupied sites.
+    meet only in the readout, and no field is built. Only the phases
+    depend on tau: the moves and their proofs (``_branch_walk``) and the
+    four sector energies, D lookups at the occupied sites, are taken
+    once per call.
     """
-    if kernels.grid != spec.grid:
-        raise ValueError("kernel table lives on a different grid")
-    amp = 0.5 + 0.0j
-    s0 = spec.initial_config()
-    gauss_bound([1.0] * len(s0.occupied), kernels)
-    phases = {}
-    final_spin = []
-    for name in BRANCHES:
-        # step 1: spin-conditioned splitting
-        moved, _ = _branch_moves(spec, s0, name, _SPLIT_DIR)
-
-        # step 2: relaxation to the branch ground state, phase gamma(s)
-        # added to the start state's phase 0
-        phase = _state_phase(0.0 + spec.gamma[name])
-
-        # step 3: eigenstate evolution; the vacuum energy is common to
-        # all branches and dropped, leaving phi(s) = -(E_rho(s) - E_0) tau
+    energies = []
+    for moved, _dressings in _branch_walk(spec, kernels):
         rows, cols = np.array(sorted(moved.occupied)).T
-        e_shift = sector_energy(rows, cols, np.ones(len(rows)), kernels)
-        phases[name] = wrap_phase(-e_shift * spec.tau)
-        phase = _state_phase(phase - e_shift * spec.tau)
-
-        # step 4: spin-conditioned merging
-        merged, _ = _branch_moves(spec, moved, name, _MERGE_DIR)
-        if merged.occupied != s0.occupied:
-            raise NotSeparable(f"branch {name} does not return to the start matter")
-        phase = _state_phase(phase)
-
-        # step 5: relax to the start sector, phase gamma'(s); only the
-        # phase differs across branches
-        phase = _state_phase(phase + spec.gamma_prime[name])
-        final_spin.append(amp * np.exp(1j * phase))
-
-    final_spin = np.array(final_spin)
-    return ProtocolTrace(
-        final_spin=final_spin,
-        phases=phases,
-        h_sigma_a=vn_entropy(reduced_spin_a(final_spin)),
-    )
+        energies.append(sector_energy(rows, cols, np.ones(len(rows)), kernels))
+    return tuple(_trace(spec, energies, tau) for tau in spec.taus)
 
 
 def reduced_spin_a(final_spin: np.ndarray) -> np.ndarray:
@@ -322,20 +334,18 @@ def embezzlement_null_test(spec: ProtocolSpec, kernels: KernelTable) -> bool:
     step 0 exactly: per branch, the matter returns bit for bit and the
     dressings' displacements on every link sum to exactly 0.0, so the
     field is the start background again; the phase is never touched.
-    The Gauss law of every dressed state is proven as in the protocol,
-    by ``gauss_bound`` and ``check_dressing``; no field is built.
+    It reads the protocol's own walk (``_branch_walk``), so the Gauss law
+    of every dressed state is proven as there; no field is built and no
+    energy is priced.
     """
-    if kernels.grid != spec.grid:
-        raise ValueError("kernel table lives on a different grid")
-    s0 = spec.initial_config()
-    gauss_bound([1.0] * len(s0.occupied), kernels)
-    ok = True
-    for name in BRANCHES:
-        moved, split = _branch_moves(spec, s0, name, _SPLIT_DIR)
-        merged, merge = _branch_moves(spec, moved, name, _MERGE_DIR)
+    try:
+        walk = _branch_walk(spec, kernels)
+    except NotSeparable:
+        return False
+    for _moved, dressings in walk:
         net = {}
-        for link, displacement in split + merge:
+        for link, displacement in dressings:
             net[link] = net.get(link, 0.0) + displacement
-        ok = ok and merged.occupied == s0.occupied
-        ok = ok and all(total == 0.0 for total in net.values())
-    return ok
+        if any(total != 0.0 for total in net.values()):
+            return False
+    return True

@@ -325,12 +325,13 @@ def _greedy_center_basis(region, grid):
 
 
 # per M: (N, a, origin), with odd and even N, a != 1, regions on the
-# grid's first and last rows and columns, and whole-torus regions (N = M)
+# grid's first and last rows and columns, and regions one site smaller
+# than the grid (N = M + 1), where the truncated crosses meet across the wrap
 _LABEL_CASES = {
-    3: (3, 0.5, (0, 0)),
-    4: (4, 3.0, (0, 0)),
+    3: (5, 0.5, (2, 2)),
+    4: (5, 3.0, (1, 1)),
     5: (12, 3.0, (7, 0)),
-    6: (6, 0.5, (0, 0)),
+    6: (8, 0.5, (2, 2)),
     7: (16, 0.5, (0, 9)),
     8: (13, 3.0, (5, 5)),
     9: (10, 1.0, (1, 0)),
@@ -463,8 +464,8 @@ def _center_probes(draw):
     """A region on a small grid, often at its edges, where neighbours
     wrap, and an operator mixing its catalog entries with p terms at any
     site, inside the region or not, and sometimes a q term or a scalar."""
-    n = draw(st.integers(3, 8))
-    m = draw(st.integers(3, n))
+    n = draw(st.integers(4, 8))
+    m = draw(st.integers(3, n - 1))
     corner = st.sampled_from([0, n - m]) | st.integers(0, n - m)
     region = Region((draw(corner), draw(corner)), m)
     grid = GridSpec(n, draw(st.sampled_from([1.0, 0.5, 3.0])))

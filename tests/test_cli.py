@@ -425,6 +425,18 @@ class TestCoulombCommand:
         assert "duplicate" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [100, 101])
+    def test_pair_distance_is_minimal_image(self, tmp_path, n):
+        # a pair N - 2 columns apart sits 2 apart the short way round,
+        # the offset at which D is read
+        docs = {}
+        for charges in (f"0,0;0,{n - 2}", f"0,{n - 2};0,0", "0,0;0,2"):
+            out = tmp_path / "o.json"
+            assert run(["coulomb", "--n", str(n), "--charges", charges, "--out", str(out)], tmp_path) == 0
+            docs[charges] = json.loads(out.read_text())
+        assert {doc["pair_distance"] for doc in docs.values()} == {2.0}
+        assert len({(doc["e_shift"], doc["D_of_d"]) for doc in docs.values()}) == 1
+
 
 class TestFmeCommand:
     def test_single_row(self, tmp_path):
@@ -548,6 +560,13 @@ class TestAlgebraCommand:
             tmp_path,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_whole_torus_region_is_usage_error(self, tmp_path, capsys, n):
+        # a region as large as the grid has no boundary, so no edge labels
+        out = tmp_path / "c.json"
+        code = run(["algebra", "--n", str(n), "--region", f"0,0,{n}", "--dump", str(out)], tmp_path)
+        assert_usage_error(code, capsys, out)
 
     @pytest.mark.parametrize("region", ["\u0662,2,3", "2,2", "2,2,3;3,3,3"])
     def test_malformed_region_is_usage_error(self, tmp_path, capsys, region):

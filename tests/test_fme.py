@@ -2,12 +2,15 @@
 accounting, and the embezzlement null test."""
 
 import warnings
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latgauge import cli
 from latgauge.fme import (
     BRANCHES,
     NotDensityMatrix,
@@ -36,12 +39,12 @@ from latgauge.matter import density
 from latgauge.spectral import build_kernels
 
 
-def small_spec(tau=0.0, n=25, distance=10, **kwargs):
+def small_spec(taus=(0.0,), n=25, distance=10, **kwargs):
     grid = GridSpec(n, 1.0)
     row = n // 2
     col_a = (n - distance) // 2
     col_b = col_a + distance
-    return ProtocolSpec(grid, (row, col_a), (row, col_b), size=7, tau=tau, **kwargs)
+    return ProtocolSpec(grid, (row, col_a), (row, col_b), size=7, taus=taus, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +57,9 @@ def big_kernels():
     return build_kernels(GridSpec(101, 1.0))
 
 
-def big_spec(tau=0.0, **kwargs):
+def big_spec(taus=(0.0,), **kwargs):
     grid = GridSpec(101, 1.0)
-    return ProtocolSpec(grid, (50, 40), (50, 60), size=7, tau=tau, **kwargs)
+    return ProtocolSpec(grid, (50, 40), (50, 60), size=7, taus=taus, **kwargs)
 
 
 def background(matter, kernels):
@@ -74,13 +77,14 @@ def dress(p, link, displacement):
     return VectorField.from_arrays(p.grid, px, p.y.values)
 
 
-def _oracle_protocol(spec, kernels):
-    """The protocol with every field built: each background by
-    ``coulomb_momentum``, each dressed field by adding the dressings
-    ``dressed_move`` returns to the link, and a full ``gauss_residual``
-    for each. The phase is wrapped by each step and again by each state
-    it is stored on. Returns the phases, the final spins and the 13
-    residuals computed: 5 backgrounds and 8 dressed states."""
+def _oracle_protocol(spec, kernels, tau):
+    """The protocol at one ``tau``, run from step 0 with every field
+    built: each background by ``coulomb_momentum``, each dressed field
+    by adding the dressings ``dressed_move`` returns to the link, and a
+    full ``gauss_residual`` for each. The phase is wrapped by each step
+    and again by each state it is stored on. Returns the phases, the
+    final spins and the 13 residuals computed: 5 backgrounds and 8
+    dressed states."""
     residuals = []
 
     def ground_state(matter):
@@ -103,8 +107,8 @@ def _oracle_protocol(spec, kernels):
         p = ground_state(matter)
         phase = wrap_phase(wrap_phase(phase + spec.gamma[name]))
         e_shift = coulomb_energy_shift(density(matter), kernels)
-        phases[name] = wrap_phase(-e_shift * spec.tau)
-        phase = wrap_phase(wrap_phase(phase - e_shift * spec.tau))
+        phases[name] = wrap_phase(-e_shift * tau)
+        phase = wrap_phase(wrap_phase(phase - e_shift * tau))
         matter, p, phase = moves(matter, p, phase, name, _MERGE_DIR)
         if matter.occupied != s0.occupied:
             raise NotSeparable(f"branch {name} does not return to the start matter")
@@ -186,7 +190,7 @@ class TestDressedMove:
 
 class TestRunProtocol:
     def test_trivial_phases_give_zero_entropy(self, small_kernels):
-        trace = run_protocol(small_spec(tau=0.0), small_kernels)
+        (trace,) = run_protocol(small_spec(), small_kernels)
         assert trace.h_sigma_a < 1e-12
         amps = trace.final_spin
         assert np.max(np.abs(amps - 0.5)) < 1e-12  # |+>|+> restored
@@ -204,7 +208,7 @@ class TestRunProtocol:
             lambda rows, cols, q, k: sectors.append((tuple(zip(rows, cols)), tuple(q)))
             or energy(rows, cols, q, k),
         )
-        run_protocol(small_spec(tau=1.0), small_kernels)
+        run_protocol(small_spec(taus=(1.0,)), small_kernels)
         assert len(sectors) == 4
         assert all(len(sites) == 2 and q == (1.0, 1.0) for sites, q in sectors)
         assert all(list(sites) == sorted(sites) for sites, _q in sectors)
@@ -218,25 +222,25 @@ class TestRunProtocol:
 
         monkeypatch.setattr(fme, "_MERGE_DIR", fme._SPLIT_DIR)
         with pytest.raises(NotSeparable, match="branch LL"):
-            run_protocol(small_spec(tau=1.0), small_kernels)
+            run_protocol(small_spec(taus=(1.0,)), small_kernels)
 
     def test_pi_imbalance_reaches_maximal_entropy(self, big_kernels):
         kernels = big_kernels
         d = 20
         curvature = 2 * kernels.d(0, d) - kernels.d(0, d + 4) - kernels.d(0, d - 4)
         tau_star = np.pi / abs(curvature)
-        trace = run_protocol(big_spec(tau=tau_star), kernels)
+        (trace,) = run_protocol(big_spec(taus=(tau_star,)), kernels)
         assert trace.h_sigma_a == pytest.approx(np.log(2.0), abs=1e-6)
 
     def test_entropy_matches_four_phase_model(self, big_kernels):
-        trace = run_protocol(big_spec(tau=40.0), big_kernels)
+        (trace,) = run_protocol(big_spec(taus=(40.0,)), big_kernels)
         assert trace.h_sigma_a == pytest.approx(
             entropy_from_phases(trace.phases), abs=1e-9
         )
         assert trace.h_sigma_a > 1e-4  # generic tau entangles
 
     def test_equal_distance_branches_share_phase(self, big_kernels):
-        trace = run_protocol(big_spec(tau=17.0), big_kernels)
+        (trace,) = run_protocol(big_spec(taus=(17.0,)), big_kernels)
         assert trace.phases["LL"] == pytest.approx(trace.phases["RR"], abs=1e-12)
 
     def test_entropy_periodic_in_tau(self, big_kernels):
@@ -246,55 +250,69 @@ class TestRunProtocol:
         curvature = 2 * kernels.d(0, d) - kernels.d(0, d + 4) - kernels.d(0, d - 4)
         period = 2 * np.pi / abs(curvature)
         for tau in (0.31 * period, 0.62 * period):
-            e1 = run_protocol(big_spec(tau=tau), kernels).h_sigma_a
-            e2 = run_protocol(big_spec(tau=tau + period), kernels).h_sigma_a
-            assert e2 == pytest.approx(e1, abs=0.01 * np.log(2))
+            first, later = run_protocol(big_spec(taus=(tau, tau + period)), kernels)
+            assert later.h_sigma_a == pytest.approx(first.h_sigma_a, abs=0.01 * np.log(2))
 
     def test_gamma_phases_shift_the_criterion(self, small_kernels):
         # entropy vanishes iff th_LL + th_RR = th_LR + th_RL (mod 2pi)
         gamma = {"LL": 0.9, "LR": 0.4, "RL": 0.5, "RR": 0.0}
-        balanced = run_protocol(small_spec(tau=0.0, gamma=gamma), small_kernels)
+        (balanced,) = run_protocol(small_spec(gamma=gamma), small_kernels)
         assert balanced.h_sigma_a < 1e-12
         gamma_prime = {"LL": np.pi / 2, "LR": 0.0, "RL": 0.0, "RR": np.pi / 2}
-        tilted = run_protocol(
-            small_spec(tau=0.0, gamma=gamma, gamma_prime=gamma_prime), small_kernels
-        )
+        (tilted,) = run_protocol(small_spec(gamma=gamma, gamma_prime=gamma_prime), small_kernels)
         assert tilted.h_sigma_a == pytest.approx(np.log(2.0), abs=1e-9)
 
     def test_entropy_bounds_over_sweep(self, small_kernels):
-        for tau in np.linspace(0.0, 300.0, 7):
-            trace = run_protocol(small_spec(tau=float(tau)), small_kernels)
+        for trace in run_protocol(small_spec(taus=np.linspace(0.0, 300.0, 7)), small_kernels):
             assert -1e-12 <= trace.h_sigma_a <= np.log(2.0) + 1e-12
 
-    def test_one_proof_per_table(self, monkeypatch):
+    def test_one_proof_per_table(self, monkeypatch, tmp_path):
         # a six-tau sweep solves one background, the unit charge's, and
-        # takes one residual of it; a new table proves itself again
+        # takes one residual of it; a new table proves itself again. One
+        # walk serves every tau: one proof, 16 dressed moves and 4 sector
+        # energies per spec, from the library and from the CLI alike
+        import latgauge.fme as fme
         import latgauge.gaussian as gaussian
 
         calls = []
 
-        def counted(name):
-            original = getattr(gaussian, name)
-            return lambda *a: calls.append(name) or original(*a)
+        def counted(module, name):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a: calls.append(name) or original(*a))
 
         for name in ("coulomb_momentum", "gauss_residual"):
-            monkeypatch.setattr(gaussian, name, counted(name))
+            counted(gaussian, name)
+        for name in ("gauss_bound", "dressed_move", "sector_energy"):
+            counted(fme, name)
+        one_walk = {"gauss_bound": 1, "dressed_move": 16, "sector_energy": 4}
+        one_proof = {"coulomb_momentum": 1, "gauss_residual": 1}
         gamma = {"LL": -0.7, "LR": 2.5, "RL": 0.1, "RR": 3.0}
         gamma_prime = {"LL": 0.3, "LR": 0.0, "RL": -1.1, "RR": 2.0}
         kernels = build_kernels(GridSpec(25, 1.0))
-        for tau in np.linspace(0.0, 5.0, 6):
-            spec = small_spec(tau=float(tau), gamma=gamma, gamma_prime=gamma_prime)
-            trace = run_protocol(spec, kernels)
+        spec = small_spec(taus=np.linspace(0.0, 5.0, 6), gamma=gamma, gamma_prime=gamma_prime)
+        traces = run_protocol(spec, kernels)
+        assert len(traces) == 6
+        for trace in traces:
             # each branch's amplitude carries gamma(s) + phi(s) + gamma'(s)
             for name, amp in zip(BRANCHES, trace.final_spin):
                 theta = wrap_phase(gamma[name] + trace.phases[name] + gamma_prime[name])
                 assert abs(amp - 0.5 * np.exp(1j * theta)) < 1e-12
-        assert calls == ["coulomb_momentum", "gauss_residual"]
+        assert Counter(calls) == Counter(one_walk) + Counter(one_proof)
+        calls.clear()
         run_protocol(spec, build_kernels(GridSpec(25, 1.0)))
-        assert len(calls) == 4
+        assert Counter(calls) == Counter(one_walk) + Counter(one_proof)
+
+        argv = ["--cache-dir", str(tmp_path), "fme", "--n", "25", "--sites", "12,7:12,17"]
+        calls.clear()
+        assert cli.main(argv + ["--sweep-tau", "0:5:1", "--out", str(tmp_path / "fme.csv")]) == 0
+        assert len((tmp_path / "fme.csv").read_text().splitlines()) == 1 + 6
+        assert Counter(calls) == Counter(one_walk) + Counter(one_proof)
+        calls.clear()
+        assert cli.main(argv + ["--null-test"]) == 0
+        assert Counter(calls) == Counter({"gauss_bound": 1, "dressed_move": 16}) + Counter(one_proof)
 
     def test_entanglement_increase_equals_reduced_entropy(self, small_kernels):
-        trace = run_protocol(small_spec(tau=90.0), small_kernels)
+        (trace,) = run_protocol(small_spec(taus=(90.0,)), small_kernels)
         assert trace.h_sigma_a == vn_entropy(reduced_spin_a(trace.final_spin))
 
 
@@ -347,13 +365,13 @@ class TestEmbezzlement:
             embezzlement_null_test(small_spec(), big_kernels)
 
     def test_full_protocol_differs_for_generic_tau(self, small_kernels):
-        trace = run_protocol(small_spec(tau=150.0), small_kernels)
+        (trace,) = run_protocol(small_spec(taus=(150.0,)), small_kernels)
         assert trace.h_sigma_a > 1e-6
 
     def test_locc_shadow(self, small_kernels):
         # local operations alone (tau = 0, no relaxation phases)
         # generate nothing
-        trace = run_protocol(small_spec(tau=0.0), small_kernels)
+        (trace,) = run_protocol(small_spec(), small_kernels)
         assert trace.h_sigma_a < 1e-12
 
 
@@ -392,11 +410,12 @@ def locc_cases(draw):
 
 @st.composite
 def protocol_specs(draw):
-    """A protocol on an odd or even grid with any relaxation phases and tau."""
+    """A protocol on an odd or even grid with any relaxation phases and
+    one to five taus."""
     phase_map = st.fixed_dictionaries({s: st.floats(-np.pi, np.pi) for s in BRANCHES})
     return ProtocolSpec(
         **_draw_geometry(draw, 1),
-        tau=draw(st.floats(0.0, 50.0)),
+        taus=draw(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=5)),
         gamma=draw(phase_map),
         gamma_prime=draw(phase_map),
     )
@@ -411,10 +430,9 @@ class TestLocc:
     @given(case=locc_cases(), tau=st.floats(0.0, 50.0))
     def test_entropy_from_d_lookups_alone(self, case, tau):
         kernels = build_kernels(case["grid"])
-        untouched = run_protocol(ProtocolSpec(**case, tau=0.0), kernels)
+        untouched, trace = run_protocol(ProtocolSpec(**case, taus=(0.0, tau)), kernels)
         assert untouched.h_sigma_a < 1e-12
 
-        trace = run_protocol(ProtocolSpec(**case, tau=tau), kernels)
         d = case["site_b"][1] - case["site_a"][1]
         separation = {"LL": d, "LR": d + 4, "RL": d - 4, "RR": d}
         theta = {
@@ -427,8 +445,10 @@ class TestLocc:
 
 
 class TestProvenGaussLaw:
-    """``run_protocol`` builds no field; the oracle builds every one and
-    takes its full Gauss residual. The phases and spins must agree bit
+    """``run_protocol`` builds no field and walks the branches once for
+    all taus; the oracle runs the whole protocol per tau, builds every
+    field and takes its full Gauss residual. Each tau's phases and spins
+    must agree with the oracle's and with a spec of that tau alone, bit
     for bit, and the proven bound must cover every residual the oracle
     sees."""
 
@@ -436,9 +456,15 @@ class TestProvenGaussLaw:
     @given(spec=protocol_specs())
     def test_matches_field_building_oracle(self, spec):
         kernels = build_kernels(spec.grid)
-        trace = run_protocol(spec, kernels)
-        phases, final_spin, residuals = _oracle_protocol(spec, kernels)
-        assert trace.phases == phases
-        assert np.array_equal(trace.final_spin, final_spin)
-        assert len(residuals) == 13
-        assert max(residuals) <= gauss_bound([1.0, 1.0], kernels) <= CONSTRAINT_TOL
+        traces = run_protocol(spec, kernels)
+        assert len(traces) == len(spec.taus)
+        for tau, trace in zip(spec.taus, traces):
+            phases, final_spin, residuals = _oracle_protocol(spec, kernels, tau)
+            assert trace.phases == phases
+            assert np.array_equal(trace.final_spin, final_spin)
+            assert len(residuals) == 13
+            assert max(residuals) <= gauss_bound([1.0, 1.0], kernels) <= CONSTRAINT_TOL
+            (alone,) = run_protocol(replace(spec, taus=(tau,)), kernels)
+            assert alone.phases == trace.phases
+            assert np.array_equal(alone.final_spin, trace.final_spin)
+            assert alone.h_sigma_a == trace.h_sigma_a

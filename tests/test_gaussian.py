@@ -259,8 +259,8 @@ class TestProtocolPhases:
         grid = GridSpec(n, 1.0)
         kernels = build_kernels(grid)
         row, col_a, d = n // 2, n // 2 - 5, 10
-        spec = ProtocolSpec(grid, (row, col_a), (row, col_a + d), size=7, tau=tau)
-        trace = run_protocol(spec, kernels)
+        spec = ProtocolSpec(grid, (row, col_a), (row, col_a + d), size=7, taus=(tau,))
+        (trace,) = run_protocol(spec, kernels)
         separation = {"LL": d, "LR": d + 4, "RL": d - 4, "RR": d}
         for name in BRANCHES:
             energy = kernels.d(0, 0) + kernels.d(0, separation[name])
@@ -287,10 +287,11 @@ class TestPhases:
     def branch_phases(tau):
         grid = GridSpec(25, 1.0)
         kernels = build_kernels(grid)
-        spec = ProtocolSpec(grid, (12, 7), (12, 17), size=7, tau=tau)
+        spec = ProtocolSpec(grid, (12, 7), (12, 17), size=7, taus=(tau,))
         energy = {s: kernels.d(0, 0) + kernels.d(0, 10 + shift)
                   for s, shift in zip(BRANCHES, (0, 4, -4, 0))}
-        return run_protocol(spec, kernels), energy
+        (trace,) = run_protocol(spec, kernels)
+        return trace, energy
 
     def test_zero_time_is_identity(self):
         trace, _energy = self.branch_phases(0.0)

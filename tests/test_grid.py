@@ -399,10 +399,20 @@ class TestFrozenValues:
             with pytest.raises(TypeError):
                 phases["LL"] = 1.0
         # a new tau keeps the read-only phases
-        later = replace(spec, tau=2.0)
-        assert later.tau == 2.0 and later.gamma == spec.gamma
+        later = replace(spec, taus=(2.0,))
+        assert later.taus == (2.0,) and later.gamma == spec.gamma
         with pytest.raises(TypeError):
             del later.gamma["RR"]
+
+    def test_protocol_spec_copies_its_taus(self):
+        # a list passed in is copied into a tuple of floats
+        taus = [0.0, 1, np.float64(2.5)]
+        spec = self.protocol_spec(taus=taus)
+        taus[0] = 9.0
+        assert spec.taus == (0.0, 1.0, 2.5)
+        assert all(type(tau) is float for tau in spec.taus)
+        with pytest.raises(ValueError, match="tau must be finite and nonnegative, got -1.0"):
+            self.protocol_spec(taus=[0.0, -1.0])
 
     def test_protocol_trace_is_frozen(self):
         from dataclasses import FrozenInstanceError
@@ -411,7 +421,7 @@ class TestFrozenValues:
         from latgauge.spectral import build_kernels
 
         spec = self.protocol_spec()
-        trace = run_protocol(spec, build_kernels(spec.grid))
+        (trace,) = run_protocol(spec, build_kernels(spec.grid))
         with pytest.raises(ValueError, match="read-only"):
             trace.final_spin[0] = 9
         with pytest.raises(TypeError):

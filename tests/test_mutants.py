@@ -35,7 +35,7 @@ def test_power_one_d_fails_criterion_10(monkeypatch):
 
 def _run_small_protocol():
     # a fresh table, so its Gauss proof is taken under the mutant
-    spec = test_fme.small_spec(tau=1.0)
+    spec = test_fme.small_spec(taus=(1.0,))
     fme.run_protocol(spec, spectral.build_kernels(spec.grid))
 
 
@@ -81,6 +81,37 @@ def test_merge_in_split_direction_fails_null_test(monkeypatch, tmp_path, capsys)
     argv = ["--cache-dir", str(tmp_path), "fme", "--n", "25", "--sites", "12,7:12,17", "--null-test"]
     assert cli.main(argv) == 1
     assert capsys.readouterr().out == "embezzlement null test: FAIL\n"
+
+
+def test_energy_handed_to_another_branch_fails_locc_property(monkeypatch):
+    # the walk gives branch LR branch LL's step-2 matter, so LR is priced
+    # at LL's energy and Theta moves by tau (D(d) - D(d+4))
+    walk = fme._branch_walk
+
+    def handed(spec, kernels):
+        steps = walk(spec, kernels)
+        return [steps[0], steps[0], *steps[2:]]
+
+    zero = {name: 0.0 for name in fme.BRANCHES}
+    case = dict(grid=GridSpec(25, 1.0), site_a=(12, 7), site_b=(12, 17), size=7, gamma=zero, gamma_prime=zero)
+    locc = test_fme.TestLocc.test_entropy_from_d_lookups_alone.hypothesis.inner_test
+    locc(test_fme.TestLocc(), case=case, tau=40.0)
+    monkeypatch.setattr(fme, "_branch_walk", handed)
+    with pytest.raises(AssertionError):
+        locc(test_fme.TestLocc(), case=case, tau=40.0)
+
+
+def test_single_wrap_state_phase_fails_field_building_oracle(monkeypatch):
+    # wrap_phase returns its own outputs unchanged except -pi, which it
+    # returns for a phase one ulp above pi; the second wrap maps that to
+    # pi. A gamma(LL) there makes the single wrap carry -pi into step 3
+    edge = float(np.nextafter(np.pi, np.inf))
+    spec = test_fme.small_spec(taus=(0.7,), gamma={"LL": edge, "LR": 0.0, "RL": 0.0, "RR": 0.0})
+    oracle = test_fme.TestProvenGaussLaw.test_matches_field_building_oracle.hypothesis.inner_test
+    oracle(test_fme.TestProvenGaussLaw(), spec=spec)
+    monkeypatch.setattr(fme, "_state_phase", gaussian.wrap_phase)
+    with pytest.raises(AssertionError):
+        oracle(test_fme.TestProvenGaussLaw(), spec=spec)
 
 
 def test_sector_energy_at_summed_column_fails_double_sum_oracle(monkeypatch):
@@ -201,7 +232,7 @@ def test_dropped_criterion_check_fails_unknown_criterion_test(monkeypatch, capsy
         test_cli.TestSelftestCommand().test_unknown_criterion_is_usage_error(capsys)
 
 
-def _other_parity_dropped(region, grid):
+def _other_parity_dropped(region):
     # the four entries the closed form drops for a region of the other parity
     bottom, left = region.origin[0] + region.size - 1, region.origin[1]
     right = left + region.size - 1
