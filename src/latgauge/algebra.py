@@ -106,20 +106,12 @@ class LinearOperator:
     def __neg__(self) -> "LinearOperator":
         return self * -1
 
-    def is_zero(self) -> bool:
-        return not self.q_coeffs and not self.p_coeffs and self.scalar == 0
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LinearOperator)
             and self.q_coeffs == other.q_coeffs
             and self.p_coeffs == other.p_coeffs
             and self.scalar == other.scalar
-        )
-
-    def __hash__(self):
-        return hash(
-            (frozenset(self.q_coeffs.items()), frozenset(self.p_coeffs.items()), self.scalar)
         )
 
     def evaluate(self, q_field: VectorField | None = None,

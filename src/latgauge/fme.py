@@ -105,9 +105,8 @@ class ProtocolSpec:
         regions = (_region_of(self, "A"), _region_of(self, "B"))
         for region, (row, col) in zip(regions, (self.site_a, self.site_b)):
             region.validate_on(self.grid)
-            interior = set(region.stencil_interior_sites())
             for dc in range(-2, 3):
-                if (row, col + dc) not in interior:
+                if not region.is_interior((row, col + dc)):
                     raise ValueError(
                         f"site {(row, col + dc)} must be strictly interior to {region}"
                     )
@@ -225,30 +224,20 @@ def _branch_walk(spec: ProtocolSpec, kernels: KernelTable) -> list:
     return walk
 
 
-def _state_phase(phi: float) -> float:
-    # the phase a field state held after each step: wrapped by the step,
-    # then again by the state it was stored on, kept for its bits: the
-    # second wrap turns the -pi the first returns just above pi into pi
-    return wrap_phase(wrap_phase(phi))
-
-
 def _trace(spec: ProtocolSpec, energies: list[float], tau: float) -> ProtocolTrace:
     """One tau's trace: steps 2-5 carry each branch's phase, priced by
-    its energy, through the wraps the field states made."""
+    its energy, through one wrap per step that adds to it."""
     phases, final_spin = {}, []
     for name, e_shift in zip(BRANCHES, energies):
         # step 2: relaxation to the branch ground state, phase gamma(s)
-        # added to the start state's phase 0
-        phase = _state_phase(0.0 + spec.gamma[name])
+        phase = wrap_phase(spec.gamma[name])
         # step 3: eigenstate evolution; the vacuum energy is common to
         # all branches and dropped, leaving phi(s) = -(E_rho(s) - E_0) tau
         phases[name] = wrap_phase(-e_shift * tau)
-        phase = _state_phase(phase - e_shift * tau)
-        # step 4: merging
-        phase = _state_phase(phase)
-        # step 5: relax to the start sector, phase gamma'(s); only the
-        # phase differs across branches
-        phase = _state_phase(phase + spec.gamma_prime[name])
+        phase = wrap_phase(phase - e_shift * tau)
+        # step 4, merging, adds no phase; step 5 relaxes to the start
+        # sector, phase gamma'(s); only the phase differs across branches
+        phase = wrap_phase(phase + spec.gamma_prime[name])
         final_spin.append((0.5 + 0.0j) * np.exp(1j * phase))
     final_spin = np.array(final_spin)
     return ProtocolTrace(final_spin, phases, vn_entropy(reduced_spin_a(final_spin)))

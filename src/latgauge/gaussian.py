@@ -43,10 +43,20 @@ class NonNeutralWarning(UserWarning):
 
 def wrap_phase(phi: float) -> float:
     """Canonical wrap into (-pi, pi]; a non-finite phi, such as an
-    overflowed ``energy * tau``, raises ValueError."""
+    overflowed ``energy * tau``, raises ValueError.
+
+    Every result y is a fixed point, bit for bit: ``wrap_phase(y) == y``.
+    The formula is y = pi - r with r = (pi - phi) mod 2 pi in [0, 2 pi).
+    If r >= pi/2, pi - r is exact (Sterbenz), so pi - y = r and the wrap
+    of y is y again. If r < pi/2, then y lies in (pi/2, pi], so pi - y
+    is exact and pi - (pi - y) = y. The one other case is r rounding up
+    to 2 pi, as for a phi one ulp above pi, which gives -pi; it is
+    returned as pi.
+    """
     if not np.isfinite(phi):
         raise ValueError(f"phase {phi} is not finite")
-    return float(np.pi - (np.pi - phi) % (2.0 * np.pi))
+    y = float(np.pi - (np.pi - phi) % (2.0 * np.pi))
+    return np.pi if y == -np.pi else y
 
 
 def _excluded_part(values: np.ndarray):

@@ -311,6 +311,16 @@ class TestRunProtocol:
         assert cli.main(argv + ["--null-test"]) == 0
         assert Counter(calls) == Counter({"gauss_bound": 1, "dressed_move": 16}) + Counter(one_proof)
 
+    def test_one_wrap_per_phase_step(self, small_kernels, monkeypatch):
+        # per branch and tau: the phases column, then steps 2, 3 and 5
+        import latgauge.fme as fme
+
+        calls = []
+        wrap = fme.wrap_phase
+        monkeypatch.setattr(fme, "wrap_phase", lambda phi: calls.append(phi) or wrap(phi))
+        run_protocol(small_spec(taus=np.linspace(0.0, 5.0, 6)), small_kernels)
+        assert len(calls) == 6 * 4 * 4
+
     def test_entanglement_increase_equals_reduced_entropy(self, small_kernels):
         (trace,) = run_protocol(small_spec(taus=(90.0,)), small_kernels)
         assert trace.h_sigma_a == vn_entropy(reduced_spin_a(trace.final_spin))

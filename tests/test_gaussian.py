@@ -268,6 +268,13 @@ class TestProtocolPhases:
             assert abs(wrap_phase(trace.phases[name] - expected)) < 1e-12
 
 
+@st.composite
+def near_odd_multiples_of_pi(draw):
+    """A float within 3000 ulps of k pi, k odd and |k pi| < 1e6."""
+    centre = (2 * draw(st.integers(-159155, 159154)) + 1) * np.pi
+    return float(centre + draw(st.integers(-3000, 3000)) * np.spacing(centre))
+
+
 class TestPhases:
     @pytest.mark.parametrize("phi", [np.inf, -np.inf, np.nan])
     def test_wrap_rejects_non_finite(self, phi):
@@ -279,6 +286,15 @@ class TestPhases:
         assert wrap_phase(-np.pi) == pytest.approx(np.pi)
         assert wrap_phase(0.0) == 0.0
         assert wrap_phase(3 * np.pi) == pytest.approx(np.pi)
+        # (pi - phi) mod 2 pi rounds up to 2 pi one ulp above pi
+        assert wrap_phase(np.nextafter(np.pi, np.inf)) == np.pi
+
+    @settings(max_examples=500, deadline=None)
+    @given(phi=st.one_of(st.floats(-1e6, 1e6), near_odd_multiples_of_pi()))
+    def test_wrap_is_its_own_fixed_point(self, phi):
+        wrapped = wrap_phase(phi)
+        assert -np.pi < wrapped <= np.pi
+        assert np.float64(wrap_phase(wrapped)).tobytes() == np.float64(wrapped).tobytes()
 
     # the protocol's eigenstate evolution, phi(s) = -E(s) tau with the
     # branch energy E(s) = D(0) + D(sep(s)), is the package's one

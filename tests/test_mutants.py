@@ -7,18 +7,22 @@ does not collect their tests a second time here.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import test_algebra
 import test_cli
+import test_dynamics
 import test_fme
 import test_gaussian
+import test_grid
 import test_spectral
-from latgauge import acceptance, algebra, cli, fme, gaussian, spectral
+from latgauge import acceptance, algebra, cli, dynamics, fme, gaussian, spectral
 from latgauge.algebra import Label, Region
 from latgauge.grid import GridSpec, VectorField
+from latgauge.matter import MatterConfig
 
 
 def test_power_one_d_fails_criterion_10(monkeypatch):
@@ -83,6 +87,23 @@ def test_merge_in_split_direction_fails_null_test(monkeypatch, tmp_path, capsys)
     assert capsys.readouterr().out == "embezzlement null test: FAIL\n"
 
 
+_ZERO_PHASES = {name: 0.0 for name in fme.BRANCHES}
+_LOCC_CASE = dict(
+    grid=GridSpec(25, 1.0), site_a=(12, 7), site_b=(12, 17), size=7,
+    gamma=_ZERO_PHASES, gamma_prime=_ZERO_PHASES,
+)
+
+
+def _assert_locc_property_catches(monkeypatch, name, mutant):
+    # the property holds on the fixed case, then fails once fme.<name>
+    # is the mutant
+    locc = test_fme.TestLocc.test_entropy_from_d_lookups_alone.hypothesis.inner_test
+    locc(test_fme.TestLocc(), case=_LOCC_CASE, tau=40.0)
+    monkeypatch.setattr(fme, name, mutant)
+    with pytest.raises(AssertionError):
+        locc(test_fme.TestLocc(), case=_LOCC_CASE, tau=40.0)
+
+
 def test_energy_handed_to_another_branch_fails_locc_property(monkeypatch):
     # the walk gives branch LR branch LL's step-2 matter, so LR is priced
     # at LL's energy and Theta moves by tau (D(d) - D(d+4))
@@ -92,24 +113,60 @@ def test_energy_handed_to_another_branch_fails_locc_property(monkeypatch):
         steps = walk(spec, kernels)
         return [steps[0], steps[0], *steps[2:]]
 
-    zero = {name: 0.0 for name in fme.BRANCHES}
-    case = dict(grid=GridSpec(25, 1.0), site_a=(12, 7), site_b=(12, 17), size=7, gamma=zero, gamma_prime=zero)
-    locc = test_fme.TestLocc.test_entropy_from_d_lookups_alone.hypothesis.inner_test
-    locc(test_fme.TestLocc(), case=case, tau=40.0)
-    monkeypatch.setattr(fme, "_branch_walk", handed)
+    _assert_locc_property_catches(monkeypatch, "_branch_walk", handed)
+
+
+def test_lr_priced_at_d_plus_2_fails_locc_property(monkeypatch):
+    # branch LR's step-2 matter has only charge A moved, so LR is priced
+    # at separation d+2 instead of d+4
+    walk = fme._branch_walk
+
+    def lr_at_d_plus_2(spec, kernels):
+        steps = walk(spec, kernels)
+        (row, col_a), site_b = spec.site_a, spec.site_b
+        moved = MatterConfig.from_sites(spec.grid, [(row, col_a - 2), site_b])
+        return [steps[0], (moved, steps[1][1]), *steps[2:]]
+
+    _assert_locc_property_catches(monkeypatch, "_branch_walk", lr_at_d_plus_2)
+
+
+def test_non_product_relaxation_phase_fails_locc_property(monkeypatch):
+    # step 2 adds a phase to branch LL alone, which no gamma_A(s_A) +
+    # gamma_B(s_B) can give: a local operation that entangles at tau = 0
+    trace = fme._trace
+
+    def non_product(spec, energies, tau):
+        gamma = dict(spec.gamma, LL=spec.gamma["LL"] + 1.0)
+        return trace(replace(spec, gamma=gamma), energies, tau)
+
+    _assert_locc_property_catches(monkeypatch, "_trace", non_product)
+
+
+def test_gauss_bound_without_allowance_fails_field_building_oracle(monkeypatch):
+    # Q r0 alone: at N = 28, a = 0.3 the oracle's worst residual is about
+    # 2.55 r0, above Q r0 = 2 r0, so only the rounding allowance covers it
+    grid = GridSpec(28, 0.3)
+    spec = fme.ProtocolSpec(grid, (14, 4), (14, 14), taus=(1.0,))
+    oracle = test_fme.TestProvenGaussLaw.test_matches_field_building_oracle.hypothesis.inner_test
+    oracle(test_fme.TestProvenGaussLaw(), spec=spec)
+    monkeypatch.setattr(
+        test_fme,
+        "gauss_bound",
+        lambda charges, kernels: float(np.sum(np.abs(charges))) * gaussian._unit_proof(kernels)[0],
+    )
     with pytest.raises(AssertionError):
-        locc(test_fme.TestLocc(), case=case, tau=40.0)
+        oracle(test_fme.TestProvenGaussLaw(), spec=spec)
 
 
-def test_single_wrap_state_phase_fails_field_building_oracle(monkeypatch):
-    # wrap_phase returns its own outputs unchanged except -pi, which it
-    # returns for a phase one ulp above pi; the second wrap maps that to
-    # pi. A gamma(LL) there makes the single wrap carry -pi into step 3
+def test_unguarded_wrap_fails_field_building_oracle(monkeypatch):
+    # the wrap formula alone returns -pi for a phase one ulp above pi; the
+    # oracle, which wraps each step twice with the guarded wrap, carries pi.
+    # A gamma(LL) there makes the mutant carry -pi into step 3
     edge = float(np.nextafter(np.pi, np.inf))
     spec = test_fme.small_spec(taus=(0.7,), gamma={"LL": edge, "LR": 0.0, "RL": 0.0, "RR": 0.0})
     oracle = test_fme.TestProvenGaussLaw.test_matches_field_building_oracle.hypothesis.inner_test
     oracle(test_fme.TestProvenGaussLaw(), spec=spec)
-    monkeypatch.setattr(fme, "_state_phase", gaussian.wrap_phase)
+    monkeypatch.setattr(fme, "wrap_phase", lambda phi: float(np.pi - (np.pi - phi) % (2 * np.pi)))
     with pytest.raises(AssertionError):
         oracle(test_fme.TestProvenGaussLaw(), spec=spec)
 
@@ -284,3 +341,75 @@ def test_skipped_cross_commutators_fail_non_member_test(monkeypatch):
     monkeypatch.setattr(test_algebra, "in_center_span", without_commutators)
     with pytest.raises(AssertionError):
         test_algebra.TestCenter().test_non_member_rejected()
+
+
+def _leapfrog_loop(refresh=True, start_scale=1.0):
+    """``dynamics._kick_drift_kick`` as written, or with its carried force
+    left stale after the first step (``refresh=False``) or its start
+    force scaled by ``start_scale``."""
+
+    def loop(qx, qy, px, py, source, dt, n_steps, a):
+        fx, fy, _b = dynamics._force(qx, qy, source, a)
+        fx, fy = fx * start_scale, fy * start_scale
+        for _ in range(n_steps):
+            px += 0.5 * dt * fx
+            py += 0.5 * dt * fy
+            qx += dt * px
+            qy += dt * py
+            gx, gy, b = dynamics._force(qx, qy, source, a)
+            px += 0.5 * dt * gx
+            py += 0.5 * dt * gy
+            if refresh:
+                fx, fy = gx, gy
+            yield b
+
+    return loop
+
+
+def _rows_equal_stepwise_oracle():
+    test_dynamics.TestTrajectory().test_rows_equal_stepwise_oracle(8, 1.0, 0.05, 200)
+
+
+@pytest.mark.parametrize(
+    "mutant, caught",
+    [({"refresh": False}, dynamics.UnstableStep), ({"start_scale": 1 + 1e-15}, AssertionError)],
+    ids=["stale-carried-force", "scaled-start-force"],
+)
+def test_leapfrog_force_mutant_fails_stepwise_oracle(monkeypatch, mutant, caught):
+    # trajectory runs one loop of n steps, the oracle n loops of one
+    # step, so a carried or start force that is off shows in the rows.
+    # The stale force drifts H by 1% in six steps, so the test stops at
+    # trajectory's drift check before its rows reach the comparison
+    monkeypatch.setattr(dynamics, "_kick_drift_kick", _leapfrog_loop())
+    _rows_equal_stepwise_oracle()
+    monkeypatch.setattr(dynamics, "_kick_drift_kick", _leapfrog_loop(**mutant))
+    with pytest.raises(caught):
+        _rows_equal_stepwise_oracle()
+
+
+def test_time_from_step_count_fails_stepwise_oracle(monkeypatch):
+    # t = time + dt * step rounds differently from adding dt once a step
+    trajectory = dynamics.trajectory
+
+    def time_from_step(state, source, dt, n_steps):
+        for step, (_t, h, residual) in enumerate(trajectory(state, source, dt, n_steps)):
+            yield state.time + dt * step, h, residual
+
+    monkeypatch.setattr(test_dynamics, "trajectory", time_from_step)
+    with pytest.raises(AssertionError):
+        _rows_equal_stepwise_oracle()
+
+
+def test_reciprocal_dbar_fails_roll_oracle(monkeypatch):
+    # spacing 0.5 divides by 1.0, exactly, leaving the bare differences
+    dbar_values = test_grid._dbar_values
+    values = np.random.default_rng(3).standard_normal((7, 7))
+    check = test_grid.TestDbarStencil.test_matches_roll_oracle.hypothesis.inner_test
+    check(test_grid.TestDbarStencil(), values=values, direction="x", spacing=0.7)
+    monkeypatch.setattr(
+        test_grid,
+        "_dbar_values",
+        lambda v, direction, spacing: dbar_values(v, direction, 0.5) * (1.0 / (2.0 * spacing)),
+    )
+    with pytest.raises(AssertionError):
+        check(test_grid.TestDbarStencil(), values=values, direction="x", spacing=0.7)
