@@ -324,7 +324,7 @@ def criterion_11_continuum_log():
     """
     n_list = [51, 101, 201]
     pair_12, pair_24, pair_48 = continuum.d_log_check(n_list, [(1, 2), (2, 4), (4, 8)])
-    oracle = continuum.continuum_log_coefficient(1, 2)
+    oracle = continuum.continuum_log_coefficient()
     v12 = pair_12.values[-1]
     v24 = pair_24.values[-1]
     clause_a = abs(v12 - oracle) < 5e-3

@@ -23,7 +23,7 @@ minus four entries fixed in closed form.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .grid import GridSpec, VectorField
@@ -201,7 +201,7 @@ def constraint_operator(grid: GridSpec, site: Site) -> LinearOperator:
     )
 
 
-def dressing_exponent(grid: GridSpec, link_site: Site, displacement: float) -> LinearOperator:
+def dressing_exponent(link_site: Site, displacement: float) -> LinearOperator:
     """Exponent of the single-link dressing unitary
     ``exp(i * displacement * q_x[link] )`` written as ``displacement * q_x``;
     a charge move across the link needs ``displacement = -(+) 2a`` for a
@@ -255,7 +255,7 @@ def check_dressing(
 @functools.cache
 def _check_relative_dressing(grid, target, link, displacement) -> None:
     source = (0, 0)
-    dressing = dressing_exponent(grid, link, displacement)
+    dressing = dressing_exponent(link, displacement)
     for cross in sorted(set(_touched_crosses([link], grid)) | {source, target}):
         expected = (cross == source) - (cross == target)
         got = commutator_scalar(dressing, constraint_operator(grid, cross))
@@ -360,15 +360,17 @@ class Region:
         ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorSet:
-    """Parallel lists of operators and their labels; construction checks
-    exact linear independence."""
+    """Parallel tuples of operators and their labels, copied from the
+    sequences given; construction checks exact linear independence."""
 
-    generators: list[LinearOperator]
-    labels: list[Label] = field(default_factory=list)
+    generators: tuple[LinearOperator, ...]
+    labels: tuple[Label, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "labels", tuple(self.labels))
         if self.labels and len(self.labels) != len(self.generators):
             raise ValueError("labels must parallel generators")
         span = _SparseRref()

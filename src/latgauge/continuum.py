@@ -13,7 +13,9 @@ asked for and the fits quantify the convergence.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from scipy import integrate
@@ -39,12 +41,15 @@ class OutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class ConvergenceSeries:
+    """Observable values over growing N; ``fit`` is a read-only copy."""
+
     n_values: tuple
     observable: str
     values: tuple
-    fit: dict
+    fit: Mapping[str, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "fit", MappingProxyType(dict(self.fit)))
         if list(self.n_values) != sorted(set(self.n_values)):
             raise ValueError("n_values must be strictly increasing")
         if not all(np.isfinite(v) for v in self.values):
@@ -146,11 +151,10 @@ def kvec_convergence(n_list, mode_fraction: float) -> ConvergenceSeries:
     )
 
 
-def continuum_log_coefficient(r1: int, r2: int) -> float:
+def continuum_log_coefficient() -> float:
     """Naive continuum value of [D(r1) - D(r2)] / ln(r2/r1): the 2D
     integral of [cos(k.r1) - cos(k.r2)] / |k|^2 over all of k-space is
-    ln(r2/r1)/(2 pi), so the normalized coefficient is 1/(2 pi)."""
-    del r1, r2  # independent of the pair by the exact continuum integral
+    ln(r2/r1)/(2 pi), so the normalized coefficient is 1/(2 pi) for any pair."""
     return 1.0 / (2.0 * np.pi)
 
 

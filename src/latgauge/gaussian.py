@@ -5,7 +5,7 @@ The kernel table D is the one representation of the Coulomb problem:
 backgrounds and sector energies are read off it at the charged sites,
 and their mode-space forms survive only as test oracles. A sector's
 Gauss law needs no field of its own: ``gauss_bound`` proves it from the
-one unit-charge background of the table. hbar = 1 throughout.
+one unit-charge background of the table, ``dbar D``. hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -152,21 +152,20 @@ def coulomb_momentum(rho: ScalarField, kernels: KernelTable) -> VectorField:
 
 
 def _unit_proof(kernels: KernelTable) -> tuple[float, float]:
-    """``(r0, max|P|)`` of the unit-charge background
-    ``P = coulomb_momentum(delta_0)``, with ``r0 = gauss_residual(P,
-    delta_0)``. Computed once per table and kept on it; P itself is
-    dropped. A unit charge is never neutral, so its ``NonNeutralWarning``
-    is expected and silenced."""
+    """``(r0, max|P|)`` of the unit-charge background ``P = dbar D``, which
+    is ``coulomb_momentum(delta_0)`` read straight off the table, with
+    ``r0 = gauss_residual(P, delta_0)``; no delta field is scanned and no
+    ``NonNeutralWarning`` raised. Computed once per table and kept on it;
+    P itself is dropped."""
     proof = kernels.__dict__.get("_unit_proof")
     if proof is None:
-        unit = np.zeros(kernels.grid.shape)
+        grid = kernels.grid
+        d = ScalarField(grid, kernels.d_values)  # the read-only table, not a copy
+        p = VectorField(dbar(d, "x"), dbar(d, "y"))
+        unit = np.zeros(grid.shape)
         unit[0, 0] = 1.0
-        unit = ScalarField(kernels.grid, unit)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonNeutralWarning)
-            p = coulomb_momentum(unit, kernels)
         p_max = max(max(c.values.max(), -c.values.min()) for c in (p.x, p.y))
-        proof = (gauss_residual(p, unit), float(p_max))
+        proof = (gauss_residual(p, ScalarField(grid, unit)), float(p_max))
         # a derived constant of the immutable table, not a change of its value
         object.__setattr__(kernels, "_unit_proof", proof)
     return proof
@@ -178,9 +177,10 @@ def gauss_bound(charges, kernels: KernelTable) -> float:
     background displaced by single-link dressings of +-2a.
 
     ``coulomb_momentum`` and ``gauss_residual`` are linear and commute
-    with lattice translations, so the background of charges q_s at sites
-    s is ``sum_s q_s roll(P, s)`` and its residual field is the same sum
-    of rolled unit residual fields: at most ``Q r0`` with
+    with lattice translations, so with the unit-charge background
+    ``P = dbar D`` the background of charges q_s at sites s is
+    ``sum_s q_s roll(P, s)`` and its residual field is the same sum of
+    rolled unit residual fields: at most ``Q r0`` with
     ``Q = sum_s |q_s|``. A dressing whose commutators with the Gauss
     crosses cancel the charge move (``algebra.check_dressing``) leaves
     that residual unchanged. Floating point adds the rounding allowance

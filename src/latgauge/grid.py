@@ -8,7 +8,6 @@ is the row (y direction), the second index ``j`` is the column
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,76 +101,6 @@ class ScalarField:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def to_csv(self, path) -> None:
-        """Write the flat CSV form: header line ``N,a``, its values, then
-        N^2 rows ``i,j,value``."""
-        n = self.grid.n
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("N,a\n")
-            fh.write(f"{n},{float(self.grid.spacing)!r}\n")
-            for i in range(n):
-                for j in range(n):
-                    fh.write(f"{i},{j},{float(self.values[i, j])!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "ScalarField":
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().strip()
-            if header != "N,a":
-                raise ValueError(f"bad CSV header {header!r}")
-            n_str, a_str = fh.readline().strip().split(",")
-            grid = GridSpec(int(n_str), float(a_str))
-            rows = []
-            for line in fh:
-                if not line.strip():
-                    continue
-                fields = line.strip().split(",")
-                if len(fields) != 3:
-                    raise ValueError(f"bad CSV row {line.strip()!r}, expected i,j,value")
-                rows.append((int(fields[0]), int(fields[1]), float(fields[2])))
-        return cls(grid, _values_from_rows(grid, rows))
-
-    def to_json(self, path) -> None:
-        """JSON mirror of the CSV schema; floats round-trip bit-exactly."""
-        n = self.grid.n
-        doc = {
-            "N": n,
-            "a": float(self.grid.spacing),
-            "values": [
-                [i, j, float(self.values[i, j])] for i in range(n) for j in range(n)
-            ],
-        }
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(doc, fh)
-
-    @classmethod
-    def from_json(cls, path) -> "ScalarField":
-        with open(path, "r", encoding="ascii") as fh:
-            doc = json.load(fh)
-        grid = GridSpec(int(doc["N"]), float(doc["a"]))
-        return cls(grid, _values_from_rows(grid, doc["values"]))
-
-
-def _values_from_rows(grid: GridSpec, rows) -> np.ndarray:
-    """Dense values from ``(i, j, value)`` rows that name every site of
-    the grid exactly once with a number; anything else raises
-    ``ValueError``."""
-    n = grid.n
-    if len(rows) != n * n:
-        raise ValueError(f"expected {n * n} rows for N={n}, got {len(rows)}")
-    values = np.zeros(grid.shape)
-    seen = set()
-    for i, j, v in rows:
-        if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
-            raise ValueError(f"site ({i!r}, {j!r}) is not a site of the {n}x{n} grid")
-        if (i, j) in seen:
-            raise ValueError(f"site ({i}, {j}) appears twice")
-        if type(v) not in (int, float):
-            raise ValueError(f"value {v!r} at site ({i}, {j}) is not a number")
-        seen.add((i, j))
-        values[i, j] = v
-    return values
 
 
 class VectorField:

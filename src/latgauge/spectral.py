@@ -6,6 +6,10 @@ Conventions: forward transform with unit normalization,
 inverse with 1/N^2. Mode index alpha pairs with rows (y), beta with
 columns (x), so the wave vector components are
 ``kx = sin(2 pi beta / N)/a`` and ``ky = sin(2 pi alpha / N)/a``.
+
+Every transform and mode sum runs on the numpy FFT; the direct sums on
+``_dft_matrix`` are test oracles, and only ``dft_forward`` keeps its
+direct path, for the DFT acceptance criterion.
 """
 
 from __future__ import annotations
@@ -84,8 +88,8 @@ def dft_forward(field: ScalarField, method: str = "fft") -> FourierField:
     return FourierField(field.grid, modes)
 
 
-def dft_inverse(modes: FourierField, method: str = "fft") -> ScalarField:
-    """Inverse transform with 1/N^2 normalization.
+def dft_inverse(modes: FourierField) -> ScalarField:
+    """Inverse transform with 1/N^2 normalization, by the numpy FFT.
 
     Raises
     ------
@@ -93,13 +97,7 @@ def dft_inverse(modes: FourierField, method: str = "fft") -> ScalarField:
         If the imaginary residue exceeds 1e-10 (``_IMAG_TOL``) times the mode
         norm; small residue is discarded.
     """
-    if method == "fft":
-        values = np.fft.ifft2(modes.modes)
-    elif method == "direct":
-        e = np.conj(_dft_matrix(modes.grid.n))
-        values = np.einsum("ai,ij,bj->ab", e, modes.modes, e) / modes.grid.n**2
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    values = np.fft.ifft2(modes.modes)
     scale = np.max(np.abs(modes.modes))
     imag = np.max(np.abs(values.imag))
     if scale > 0 and imag > _IMAG_TOL * scale:
@@ -119,13 +117,15 @@ def wave_vector(grid: GridSpec, alpha: int, beta: int) -> tuple[float, float]:
 
 
 def wave_number_table(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays (kx, ky, |k|) over all modes, indexed [alpha, beta]; kx and
-    ky are read-only broadcasts of the 1-D sine table."""
+    """Read-only arrays (kx, ky, |k|) over all modes, indexed
+    [alpha, beta]; kx and ky are broadcasts of the 1-D sine table."""
     n, a = grid.n, grid.spacing
     s = np.sin(2.0 * np.pi * np.arange(n) / n) / a
     kx = np.broadcast_to(s, grid.shape)  # from beta
     ky = np.broadcast_to(s[:, np.newaxis], grid.shape)  # from alpha
-    return kx, ky, np.hypot(kx, ky)
+    kabs = np.hypot(kx, ky)
+    kabs.flags.writeable = False
+    return kx, ky, kabs
 
 
 def zero_mode_count(grid: GridSpec) -> int:
@@ -174,14 +174,13 @@ def _assert_even(values: np.ndarray) -> None:
         raise AssertionError("kernel table is not even under offset negation")
 
 
-def kernel_values(grid: GridSpec, power: int, method: str = "fft") -> np.ndarray:
+def kernel_values(grid: GridSpec, power: int) -> np.ndarray:
     """Real-space kernel ``sum_{k != 0} e^{ik.x} / |k|^power / N^2`` at
     every site offset, indexed [di, dj]: G for power 1, D for power 2.
 
-    The fast path evaluates the mode sum as one FFT; the direct path
-    performs the defining summation and is kept as the test oracle. The
-    excluded-mode count, a real result and evenness under offset
-    negation are asserted on every call. Returns a read-only array.
+    The mode sum is evaluated as one FFT. The excluded-mode count, a real
+    result and evenness under offset negation are asserted on every call.
+    Returns a read-only array.
     """
     weights, kept = _mode_weights(grid, power)
     n = grid.n
@@ -190,14 +189,8 @@ def kernel_values(grid: GridSpec, power: int, method: str = "fft") -> np.ndarray
         raise AssertionError(
             f"expected {zero_mode_count(grid)} zero modes, found {excluded}"
         )
-    if method == "fft":
-        # (1/N^2) sum_ab M[a,b] e^{-i 2pi (di a + dj b)/N} = fft2(M)[di,dj]/N^2
-        values = np.fft.fft2(weights) / n**2
-    elif method == "direct":
-        e = _dft_matrix(n)
-        values = np.einsum("ua,ab,vb->uv", e, weights.astype(complex), e) / n**2
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    # (1/N^2) sum_ab M[a,b] e^{-i 2pi (di a + dj b)/N} = fft2(M)[di,dj]/N^2
+    values = np.fft.fft2(weights) / n**2
     if np.max(np.abs(values.imag)) > 1e-10 * np.max(np.abs(values)):
         raise AssertionError("kernel sum acquired a non-real part")
     values = np.real(values).copy()
@@ -206,9 +199,9 @@ def kernel_values(grid: GridSpec, power: int, method: str = "fft") -> np.ndarray
     return values
 
 
-def build_kernels(grid: GridSpec, method: str = "fft") -> KernelTable:
+def build_kernels(grid: GridSpec) -> KernelTable:
     """The Coulomb kernel table: D by ``kernel_values`` with power 2."""
-    return KernelTable(grid, kernel_values(grid, 2, method))
+    return KernelTable(grid, kernel_values(grid, 2))
 
 
 def _cache_key(grid: GridSpec) -> str:

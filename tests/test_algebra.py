@@ -349,8 +349,8 @@ class TestCenterLabels:
         region = Region(origin, m)
         basis = center_basis(region, grid)
         ops, labels = _greedy_center_basis(region, grid)
-        assert basis.labels == labels
-        assert basis.generators == ops
+        assert basis.labels == tuple(labels)
+        assert basis.generators == tuple(ops)
         kept = set(labels)
         dropped = [label for _, label in _center_catalog(region, grid) if label not in kept]
         bottom = origin[0] + m - 1
@@ -542,7 +542,7 @@ class TestDressingExponent:
         # two crosses the move affects, with opposite unit weights
         grid = GridSpec(11, 1.0)
         row, col = 5, 5
-        w = dressing_exponent(grid, (row, col - 1), -2.0 * grid.spacing)
+        w = dressing_exponent((row, col - 1), -2.0 * grid.spacing)
         for n in range(11):
             for m in range(11):
                 c = commutator_scalar(w, constraint_operator(grid, (n, m)))

@@ -69,7 +69,7 @@ class TestDLog:
             bz_d_difference(1, 2)
 
     def test_continuum_coefficient(self):
-        assert continuum_log_coefficient(1, 2) == pytest.approx(1 / (2 * np.pi))
+        assert continuum_log_coefficient() == pytest.approx(1 / (2 * np.pi))
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(ValueError):

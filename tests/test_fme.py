@@ -267,8 +267,9 @@ class TestRunProtocol:
             assert -1e-12 <= trace.h_sigma_a <= np.log(2.0) + 1e-12
 
     def test_one_proof_per_table(self, monkeypatch, tmp_path):
-        # a six-tau sweep solves one background, the unit charge's, and
-        # takes one residual of it; a new table proves itself again. One
+        # a six-tau sweep solves no background: it reads the unit charge's
+        # off the table as dbar D, in two derivatives, and takes one
+        # residual of it; a new table proves itself again. One
         # walk serves every tau: one proof, 16 dressed moves and 4 sector
         # energies per spec, from the library and from the CLI alike
         import latgauge.fme as fme
@@ -280,12 +281,12 @@ class TestRunProtocol:
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a: calls.append(name) or original(*a))
 
-        for name in ("coulomb_momentum", "gauss_residual"):
+        for name in ("coulomb_momentum", "dbar", "gauss_residual"):
             counted(gaussian, name)
         for name in ("gauss_bound", "dressed_move", "sector_energy"):
             counted(fme, name)
         one_walk = {"gauss_bound": 1, "dressed_move": 16, "sector_energy": 4}
-        one_proof = {"coulomb_momentum": 1, "gauss_residual": 1}
+        one_proof = {"dbar": 2, "gauss_residual": 1}
         gamma = {"LL": -0.7, "LR": 2.5, "RL": 0.1, "RR": 3.0}
         gamma_prime = {"LL": 0.3, "LR": 0.0, "RL": -1.1, "RR": 2.0}
         kernels = build_kernels(GridSpec(25, 1.0))

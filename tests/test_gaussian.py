@@ -10,6 +10,7 @@ from latgauge.fme import BRANCHES, ProtocolSpec, run_protocol
 from latgauge.gaussian import (
     NonNeutralWarning,
     _excluded_part,
+    _unit_proof,
     coulomb_energy_shift,
     coulomb_momentum,
     gauss_residual,
@@ -226,6 +227,28 @@ class TestCoulombMomentum:
         assert np.max(np.abs(mean_only)) > 1e-3
         solvable = rho.values - _excluded_part(rho.values)
         assert abs(solvable.sum()) < 1e-9
+
+
+class TestUnitProof:
+    """``_unit_proof`` reads the unit background off D as ``dbar D``;
+    ``coulomb_momentum`` of a unit charge at the origin is its oracle,
+    bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, a", [(3, 1.0), (24, 2.5), (25, 1.0), (28, 0.3), (41, 2.5), (100, 0.3), (101, 1.0)]
+    )
+    def test_matches_coulomb_momentum_of_a_unit_charge(self, n, a):
+        grid = GridSpec(n, a)
+        values = np.zeros(grid.shape)
+        values[0, 0] = 1.0
+        unit = ScalarField(grid, values)
+        with pytest.warns(NonNeutralWarning):
+            p = coulomb_momentum(unit, build_kernels(grid))
+        p_max = max(max(c.values.max(), -c.values.min()) for c in (p.x, p.y))
+        expected = (gauss_residual(p, unit), float(p_max))
+        fresh = build_kernels(grid)
+        assert "_unit_proof" not in fresh.__dict__
+        assert _unit_proof(fresh) == expected
 
 
 class TestSolvableChargePart:

@@ -1,7 +1,5 @@
 """Discrete calculus identities and field container behavior."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,6 @@ from latgauge.grid import (
     dbar,
     divergence,
     _dbar_values,
-    _values_from_rows,
     sum_by_parts_residual,
 )
 
@@ -193,113 +190,6 @@ class TestSumByParts:
         assert abs(sum_by_parts_residual(f, f, "y")) < 1e-13
 
 
-class TestSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        grid = GridSpec(4, 0.5)
-        f = random_field(grid, 11)
-        path = tmp_path / "field.csv"
-        f.to_csv(path)
-        back = ScalarField.from_csv(path)
-        assert back.grid == grid
-        np.testing.assert_array_equal(back.values, f.values)
-
-    def test_json_round_trip_bit_exact(self, tmp_path):
-        grid = GridSpec(5, 1.0)
-        values = random_field(grid, 12).values.copy()
-        values[0, 0] = 0.1 + 0.2  # a value without a short decimal form
-        f = ScalarField(grid, values)
-        path = tmp_path / "field.json"
-        f.to_json(path)
-        back = ScalarField.from_json(path)
-        assert back.grid == grid
-        assert (back.values == f.values).all()
-
-    def test_csv_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("nope\n5,1.0\n")
-        with pytest.raises(ValueError):
-            ScalarField.from_csv(path)
-
-    # every site of an N = 3 grid exactly once, then one defect per case
-    ROWS = [(i, j, float(3 * i + j)) for i in range(3) for j in range(3)]
-    MALFORMED = {
-        "missing-row": ROWS[:-1],
-        "extra-row": ROWS + [(2, 2, 9.0)],
-        "repeated-site": ROWS[:-1] + [(0, 0, 9.0)],
-        "negative-index": ROWS[:-1] + [(-1, 2, 9.0)],
-        "index-past-n": ROWS[:-1] + [(3, 2, 9.0)],
-        "non-integer-index": ROWS[:-1] + [(2.0, 2, 9.0)],
-        "null-value": ROWS[:-1] + [(2, 2, None)],
-        "string-value": ROWS[:-1] + [(2, 2, "nine")],
-        "wrapped-and-overwritten": [(0, 0, 1.5), (-1, 0, 2.0), (0, 0, 7.0)],
-    }
-
-    @staticmethod
-    def write_rows(path, fmt, rows):
-        if fmt == "csv":
-            lines = ["N,a", "3,1.0"] + [",".join(str(x) for x in row) for row in rows]
-            path.write_text("\n".join(lines) + "\n")
-        else:
-            path.write_text(json.dumps({"N": 3, "a": 1.0, "values": [list(r) for r in rows]}))
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("case", sorted(MALFORMED))
-    def test_reader_rejects_malformed_rows(self, tmp_path, fmt, case):
-        path = tmp_path / f"field.{fmt}"
-        self.write_rows(path, fmt, self.MALFORMED[case])
-        reader = ScalarField.from_csv if fmt == "csv" else ScalarField.from_json
-        with pytest.raises(ValueError):
-            reader(path)
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_reader_accepts_rows_in_any_order(self, tmp_path, fmt):
-        path = tmp_path / f"field.{fmt}"
-        self.write_rows(path, fmt, self.ROWS[::-1])
-        reader = ScalarField.from_csv if fmt == "csv" else ScalarField.from_json
-        np.testing.assert_array_equal(reader(path).values, np.arange(9.0).reshape(3, 3))
-
-    @given(n=st.integers(3, 6), data=st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_rows_in_any_order_round_trip(self, n, data):
-        grid = GridSpec(n, 1.0)
-        values = data.draw(arrays(float, grid.shape, elements=st.floats(-1e6, 1e6)))
-        rows = [(i, j, float(values[i, j])) for i in range(n) for j in range(n)]
-        rows = data.draw(st.permutations(rows))
-        np.testing.assert_array_equal(_values_from_rows(grid, rows), values)
-
-    @given(
-        n=st.integers(3, 6),
-        defect=st.sampled_from(["missing", "duplicated", "off-grid", "non-numeric"]),
-        data=st.data(),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_defective_row_set_raises(self, n, defect, data):
-        grid = GridSpec(n, 1.0)
-        rows = data.draw(
-            st.permutations([(i, j, float(i * n + j)) for i in range(n) for j in range(n)])
-        )
-        k = data.draw(st.integers(0, n * n - 1))
-        i, j, v = rows[k]
-        if defect == "missing":
-            del rows[k]
-        elif defect == "duplicated":
-            rows[k] = rows[(k + 1) % (n * n)]
-        elif defect == "off-grid":
-            far = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=n)))
-            rows[k] = (far, j, v) if data.draw(st.booleans()) else (i, far, v)
-        else:
-            rows[k] = (i, j, data.draw(st.sampled_from([None, "1.0", True, [1.0]])))
-        with pytest.raises(ValueError):
-            _values_from_rows(grid, rows)
-
-    @pytest.mark.parametrize("bad", [(1, 0), (1, 0, 3.0, 9)], ids=["two-fields", "four-fields"])
-    def test_csv_rejects_row_without_three_fields(self, tmp_path, bad):
-        path = tmp_path / "field.csv"
-        self.write_rows(path, "csv", self.ROWS[:3] + [bad] + self.ROWS[4:])
-        with pytest.raises(ValueError, match="expected i,j,value"):
-            ScalarField.from_csv(path)
-
-
 class TestVectorField:
     def test_mismatched_grids_rejected(self):
         with pytest.raises(ValueError):
@@ -331,6 +221,7 @@ class TestFrozenValues:
             kernel_values,
             load_kernels,
             save_kernels,
+            wave_number_table,
         )
 
         grid = GridSpec(7, 1.0)
@@ -356,6 +247,7 @@ class TestFrozenValues:
             "coulomb_momentum": p.x.values,
             "modes": dft_forward(f).modes,
             "kernel_g": kernel_values(grid, 1),
+            "wave_number": wave_number_table(grid)[2],
             "built_d": kernels.d_values,
             "loaded_d": loaded.d_values,
         }
@@ -367,6 +259,39 @@ class TestFrozenValues:
             with pytest.raises(ValueError, match="read-only"):
                 values += 1.0
             assert not values.flags.writeable, name
+
+    def test_generator_sets_are_frozen(self):
+        from dataclasses import FrozenInstanceError
+
+        from latgauge.algebra import GeneratorSet, Region, center_basis, local_generators, p_op
+
+        grid, region = GridSpec(9, 1.0), Region((1, 1), 5)
+        basis = center_basis(region, grid)
+        assert len(basis) == 41
+        for gens in (basis, local_generators(region, grid)):
+            for name in ("generators", "labels"):
+                with pytest.raises(AttributeError):
+                    getattr(gens, name).append(gens.generators[0])
+                with pytest.raises(FrozenInstanceError):
+                    setattr(gens, name, ())
+        assert len(basis) == 41
+        # the lists passed in are copied
+        ops = [p_op((1, 1), "x")]
+        gens = GeneratorSet(ops)
+        ops.append(p_op((2, 2), "y"))
+        assert gens.generators == (p_op((1, 1), "x"),)
+
+    def test_convergence_fit_is_read_only(self):
+        from latgauge.continuum import ConvergenceSeries, kvec_convergence
+
+        with pytest.raises(TypeError):
+            kvec_convergence([51, 101, 201], 0.1).fit["estimate"] = 0.0
+        fit = {"estimate": 1.0, "rate": 2.0}
+        series = ConvergenceSeries((5, 7), "x", (1.0, 2.0), fit)
+        fit["rate"] = 9.0  # the series holds its own copy
+        assert series.fit == {"estimate": 1.0, "rate": 2.0}
+        with pytest.raises(TypeError):
+            del series.fit["rate"]
 
     def test_constructor_does_not_copy(self):
         grid = GridSpec(4, 1.0)

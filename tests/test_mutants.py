@@ -21,7 +21,7 @@ import test_grid
 import test_spectral
 from latgauge import acceptance, algebra, cli, dynamics, fme, gaussian, spectral
 from latgauge.algebra import Label, Region
-from latgauge.grid import GridSpec, VectorField
+from latgauge.grid import GridSpec, ScalarField
 from latgauge.matter import MatterConfig
 
 
@@ -31,7 +31,7 @@ def test_power_one_d_fails_criterion_10(monkeypatch):
     monkeypatch.setattr(
         spectral,
         "build_kernels",
-        lambda grid, method="fft": spectral.KernelTable(grid, kernel_values(grid, 1, method)),
+        lambda grid: spectral.KernelTable(grid, kernel_values(grid, 1)),
     )
     with pytest.raises(AssertionError, match="violates the Gauss law"):
         acceptance.run_criterion("10")
@@ -187,15 +187,28 @@ def test_sector_energy_at_summed_column_fails_double_sum_oracle(monkeypatch):
 
 
 def test_perturbed_unit_background_fails_gauss_bound(monkeypatch):
-    momentum = gaussian.coulomb_momentum
+    # P_x = dbar_x D off by 1e-8 at one site
+    derivative = gaussian.dbar
 
-    def perturbed(rho, kernels):
-        p = momentum(rho, kernels)
-        px = p.x.values.copy()
+    def perturbed(field, direction):
+        p = derivative(field, direction)
+        if direction != "x":
+            return p
+        px = p.values.copy()
         px[0, 1] += 1e-8
-        return VectorField.from_arrays(p.grid, px, p.y.values)
+        return ScalarField(p.grid, px)
 
-    monkeypatch.setattr(gaussian, "coulomb_momentum", perturbed)
+    monkeypatch.setattr(gaussian, "dbar", perturbed)
+    with pytest.raises(AssertionError, match="violates the Gauss law"):
+        _run_small_protocol()
+
+
+def test_swapped_unit_background_fails_gauss_bound(monkeypatch):
+    # P = (dbar_y D, dbar_x D): div P is 2 dbar_x dbar_y D, not -delta,
+    # so r0 rises from 3.8e-16 to 0.998 at N = 25
+    derivative = gaussian.dbar
+    swap = {"x": "y", "y": "x"}
+    monkeypatch.setattr(gaussian, "dbar", lambda field, direction: derivative(field, swap[direction]))
     with pytest.raises(AssertionError, match="violates the Gauss law"):
         _run_small_protocol()
 

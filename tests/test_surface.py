@@ -1,8 +1,9 @@
 """The public surface: every exported name resolves, every function the
 benchmark's layer trace wraps still exists and records calls on a traced
-op, and every argv the benchmark generates or README.md shows still
-parses."""
+op, every argv the benchmark generates or README.md shows still parses,
+and every function in the package reads each of its parameters."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -104,3 +105,36 @@ def test_readme_example_parses(line):
     argv = shlex.split(line, comments=True)
     cfg = parse_args(argv[1:])
     assert cfg.command == argv[1]
+
+
+def _unread_parameters(path):
+    """``name(param)`` for every function or lambda in the source file
+    whose body never loads one of its parameters; a ``del`` is not a
+    read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        loaded = {
+            sub.id
+            for stmt in body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{name}({param})" for param in params if param not in loaded]
+    return unread
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "latgauge").glob("*.py")), ids=lambda path: path.name
+)
+def test_every_parameter_is_read(path):
+    # a parameter no body reads is a dead knob: every caller must pass
+    # it, and nothing it says reaches the result
+    assert _unread_parameters(path) == []
