@@ -23,8 +23,10 @@ minus four entries fixed in closed form.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .grid import GridSpec, VectorField
 
@@ -53,6 +55,7 @@ Site = tuple[int, int]
 Coord = tuple[Site, str]  # ((i, j), "x" | "y")
 
 _COMPONENTS = ("x", "y")
+_EMPTY: Mapping = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -68,29 +71,28 @@ class Label:
         return f"{self.kind}({self.site[0]},{self.site[1]}{extra})"
 
 
+@dataclass(frozen=True)
 class LinearOperator:
-    """Exact linear combination of site-local q/p generators plus a
-    scalar. Sparse maps never hold zero entries."""
+    """Exact linear combination of site-local q/p generators. The
+    coefficient maps are read-only, hold Fractions and never hold a zero."""
 
-    __slots__ = ("q_coeffs", "p_coeffs", "scalar")
+    q_coeffs: Mapping[Coord, Fraction] = field(default_factory=dict)
+    p_coeffs: Mapping[Coord, Fraction] = field(default_factory=dict)
 
-    def __init__(self, q_coeffs=None, p_coeffs=None, scalar=0):
-        self.q_coeffs: dict[Coord, Fraction] = _clean(q_coeffs)
-        self.p_coeffs: dict[Coord, Fraction] = _clean(p_coeffs)
-        self.scalar = Fraction(scalar)
+    def __post_init__(self):
+        object.__setattr__(self, "q_coeffs", _clean(self.q_coeffs))
+        object.__setattr__(self, "p_coeffs", _clean(self.p_coeffs))
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         return LinearOperator(
             _merge(self.q_coeffs, other.q_coeffs, 1),
             _merge(self.p_coeffs, other.p_coeffs, 1),
-            self.scalar + other.scalar,
         )
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
         return LinearOperator(
             _merge(self.q_coeffs, other.q_coeffs, -1),
             _merge(self.p_coeffs, other.p_coeffs, -1),
-            self.scalar - other.scalar,
         )
 
     def __mul__(self, factor) -> "LinearOperator":
@@ -98,7 +100,6 @@ class LinearOperator:
         return LinearOperator(
             {k: v * f for k, v in self.q_coeffs.items()},
             {k: v * f for k, v in self.p_coeffs.items()},
-            self.scalar * f,
         )
 
     __rmul__ = __mul__
@@ -106,18 +107,10 @@ class LinearOperator:
     def __neg__(self) -> "LinearOperator":
         return self * -1
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinearOperator)
-            and self.q_coeffs == other.q_coeffs
-            and self.p_coeffs == other.p_coeffs
-            and self.scalar == other.scalar
-        )
-
     def evaluate(self, q_field: VectorField | None = None,
                  p_field: VectorField | None = None) -> float:
         """Apply the operator as a linear functional on classical fields."""
-        total = float(self.scalar)
+        total = 0.0
         for (site, comp), coeff in self.q_coeffs.items():
             if q_field is None:
                 raise ValueError("operator has q terms but no q field given")
@@ -133,17 +126,15 @@ class LinearOperator:
         for kind, coeffs in (("q", self.q_coeffs), ("p", self.p_coeffs)):
             for (site, comp), coeff in sorted(coeffs.items()):
                 terms.append(f"({coeff})*{kind}_{comp}[{site[0]},{site[1]}]")
-        if self.scalar != 0 or not terms:
-            terms.append(f"({self.scalar})")
-        return " + ".join(terms)
+        return " + ".join(terms) or "(0)"
 
     __repr__ = __str__
 
 
-def _clean(coeffs) -> dict:
+def _clean(coeffs) -> Mapping:
     if not coeffs:
-        return {}
-    return {k: f for k, v in coeffs.items() if (f := Fraction(v)) != 0}
+        return _EMPTY
+    return MappingProxyType({k: f for k, v in coeffs.items() if (f := Fraction(v)) != 0})
 
 
 def _merge(a: dict, b: dict, sign: int) -> dict:
@@ -386,7 +377,7 @@ class GeneratorSet:
 
 def _row(op: LinearOperator) -> dict:
     """Sparse row of an operator's q and p coefficients, keyed
-    ``("q", coord)`` and ``("p", coord)``; the scalar is not a column."""
+    ``("q", coord)`` and ``("p", coord)``."""
     row = {("q", c): v for c, v in op.q_coeffs.items()}
     row.update({("p", c): v for c, v in op.p_coeffs.items()})
     return row
@@ -603,15 +594,13 @@ def center_dimension(region: Region, grid: GridSpec) -> int:
 
 
 def in_center_span(op: LinearOperator, region: Region, grid: GridSpec) -> bool:
-    """Exact membership test of ``op`` in the center: no scalar, no q
-    part, p support inside the region, and commuting with every interior
+    """Exact membership test of ``op`` in the center: no q part, p support inside the region, and commuting with every interior
     magnetic cross. Only the crosses next to the p support can pair with
     it, so only those are evaluated."""
     region.validate_on(grid)
     support = [site for site, _comp in op.p_coeffs]
     return (
-        op.scalar == 0
-        and not op.q_coeffs
+        not op.q_coeffs
         and all(region.contains(site) for site in support)
         and all(
             commutator_scalar(op, b_operator(grid, site)) == 0

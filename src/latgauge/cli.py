@@ -14,7 +14,6 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from . import acceptance, continuum
 from .algebra import Region, center_basis
 from .dynamics import PhaseSpaceState, SourceConfig, UnstableStep, trajectory
 from .fme import (
+    BRANCHES,
     NotDensityMatrix,
     NotSeparable,
     ProtocolSpec,
@@ -33,7 +33,7 @@ from .grid import GridSpec
 from .matter import MatterConfig, density
 from .spectral import NonRealResult, load_or_build_kernels
 
-__all__ = ["UsageError", "RunConfig", "parse_args", "main"]
+__all__ = ["UsageError", "parse_args", "main"]
 
 
 class UsageError(Exception):
@@ -47,14 +47,6 @@ def _usage_errors():
         yield
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-@dataclass
-class RunConfig:
-    command: str
-    params: dict = field(default_factory=dict)
-    cache_dir: str | None = None
-    seed: int = 0
 
 
 def _default_cache_dir() -> str:
@@ -203,19 +195,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    """Validate the command line into a RunConfig; raises UsageError on
-    anything argparse itself does not reject."""
+def parse_args(argv) -> argparse.Namespace:
+    """Validate the command line into argparse's namespace, with
+    ``cache_dir`` resolved; raises UsageError on anything argparse
+    itself does not reject."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
     if ns.command is None:
         parser.print_usage(sys.stderr)
         raise UsageError("missing subcommand")
-    params = {k: v for k, v in vars(ns).items() if k not in ("command", "seed", "cache_dir")}
-    if "n" in params:
+    if ns.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {ns.seed}")
+    if "n" in ns:
         with _usage_errors():
-            GridSpec(params["n"], params.get("a", 1.0))
-    return RunConfig(ns.command, params, ns.cache_dir or _default_cache_dir(), ns.seed)
+            GridSpec(ns.n, ns.a)
+    ns.cache_dir = ns.cache_dir or _default_cache_dir()
+    return ns
 
 
 def _float_csv(x: float) -> str:
@@ -232,33 +227,31 @@ def _write(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _cmd_dynamics(cfg: RunConfig) -> int:
-    p = cfg.params
-    if not (np.isfinite(p["dt"]) and p["dt"] > 0):
-        raise UsageError(f"--dt must be finite and positive, got {p['dt']}")
-    if p["steps"] < 0:
-        raise UsageError(f"--steps must be nonnegative, got {p['steps']}")
-    grid = GridSpec(p["n"], p["a"])
-    rng = np.random.default_rng(cfg.seed)
+def _cmd_dynamics(ns: argparse.Namespace) -> int:
+    if not (np.isfinite(ns.dt) and ns.dt > 0):
+        raise UsageError(f"--dt must be finite and positive, got {ns.dt}")
+    if ns.steps < 0:
+        raise UsageError(f"--steps must be nonnegative, got {ns.steps}")
+    grid = GridSpec(ns.n, ns.a)
+    rng = np.random.default_rng(ns.seed)
     state = PhaseSpaceState.random(grid, rng)
     source = SourceConfig.vacuum(grid)
     # rows are kept until the last step passes the drift check, so a
     # failed run leaves no file
     rows = ["t,H,max_constraint_residual\n"] + [
         f"{_float_csv(t)},{_float_csv(h)},{_float_csv(res)}\n"
-        for t, h, res in trajectory(state, source, p["dt"], p["steps"])
+        for t, h, res in trajectory(state, source, ns.dt, ns.steps)
     ]
-    _write(p["out"], "".join(rows))
+    _write(ns.out, "".join(rows))
     return 0
 
 
-def _cmd_coulomb(cfg: RunConfig) -> int:
-    p = cfg.params
-    grid = GridSpec(p["n"], p["a"])
-    sites = p["charges"]
+def _cmd_coulomb(ns: argparse.Namespace) -> int:
+    grid = GridSpec(ns.n, ns.a)
+    sites = ns.charges
     with _usage_errors():
         config = MatterConfig.from_sites(grid, sites)
-    kernels = load_or_build_kernels(grid, cfg.cache_dir)
+    kernels = load_or_build_kernels(grid, ns.cache_dir)
     result = {
         "e0": ground_energy(grid),
         "e_shift": coulomb_energy_shift(density(config), kernels),
@@ -271,37 +264,36 @@ def _cmd_coulomb(cfg: RunConfig) -> int:
         di, dj = grid.wrap(i2 - i1, j2 - j1)
         result["pair_distance"] = float(np.hypot(min(di, grid.n - di), min(dj, grid.n - dj)))
         result["D_of_d"] = kernels.d(i2 - i1, j2 - j1)
-    _write(p["out"], json.dumps(result, indent=2) + "\n")
+    _write(ns.out, json.dumps(result, indent=2) + "\n")
     return 0
 
 
-def _cmd_fme(cfg: RunConfig) -> int:
-    p = cfg.params
-    sites = p["sites"]
-    if len(sites) != 2:
-        raise UsageError(f"--sites needs two sites, got {len(sites)}")
-    taus = [p["tau"]] if p["sweep_tau"] is None else p["sweep_tau"]
+def _cmd_fme(ns: argparse.Namespace) -> int:
+    if len(ns.sites) != 2:
+        raise UsageError(f"--sites needs two sites, got {len(ns.sites)}")
+    taus = [ns.tau] if ns.sweep_tau is None else ns.sweep_tau
     with _usage_errors():
-        spec = ProtocolSpec(GridSpec(p["n"], p["a"]), *sites, size=p["region_size"], taus=taus)
-    kernels = load_or_build_kernels(spec.grid, cfg.cache_dir)
-    if p["null_test"]:
+        spec = ProtocolSpec(GridSpec(ns.n, ns.a), *ns.sites, size=ns.region_size, taus=taus)
+    kernels = load_or_build_kernels(spec.grid, ns.cache_dir)
+    if ns.null_test:
         ok = embezzlement_null_test(spec, kernels)
         print(f"embezzlement null test: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
-    lines = ["tau,phi_LL,phi_LR,phi_RL,phi_RR,entropy"]
+    # each trace becomes its row as it arrives and only the rows are
+    # kept, until the last tau, so a failed run leaves no file
+    rows = ["tau,phi_LL,phi_LR,phi_RL,phi_RR,entropy\n"]
     for tau, trace in zip(spec.taus, run_protocol(spec, kernels)):
-        phases = [trace.phases[b] for b in ("LL", "LR", "RL", "RR")]
-        lines.append(",".join(_float_csv(x) for x in (tau, *phases, trace.h_sigma_a)))
-    _write(p["out"], "\n".join(lines) + "\n")
+        fields = (tau, *(trace.phases[b] for b in BRANCHES), trace.h_sigma_a)
+        rows.append(",".join(map(_float_csv, fields)) + "\n")
+    _write(ns.out, "".join(rows))
     return 0
 
 
-def _cmd_algebra(cfg: RunConfig) -> int:
-    p = cfg.params
-    grid = GridSpec(p["n"], p["a"])
-    if len(p["region"]) != 1:
-        raise UsageError(f"--region needs one region, got {len(p['region'])}")
-    ((i0, j0, m),) = p["region"]
+def _cmd_algebra(ns: argparse.Namespace) -> int:
+    grid = GridSpec(ns.n, ns.a)
+    if len(ns.region) != 1:
+        raise UsageError(f"--region needs one region, got {len(ns.region)}")
+    ((i0, j0, m),) = ns.region
     with _usage_errors():
         region = Region((i0, j0), m)
         region.validate_on(grid)
@@ -327,42 +319,41 @@ def _cmd_algebra(cfg: RunConfig) -> int:
             for op, label in zip(basis.generators, basis.labels)
         ],
     }
-    _write(p["dump"], json.dumps(doc, indent=2) + "\n")
+    _write(ns.dump, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
-def _cmd_continuum(cfg: RunConfig) -> int:
-    p = cfg.params
-    n_list = [n for (n,) in p["n_list"]]
+def _cmd_continuum(ns: argparse.Namespace) -> int:
+    n_list = [n for (n,) in ns.n_list]
     with _usage_errors():
         for n in n_list:
             GridSpec(n)
-    option, header, produce = _CHECKS[p["check"]]
-    if p[option] is None:
-        raise UsageError(f"--check {p['check']} needs --{option}")
+    option, header, produce = _CHECKS[ns.check]
+    if getattr(ns, option) is None:
+        raise UsageError(f"--check {ns.check} needs --{option}")
     for other, *_ in _CHECKS.values():
-        if other != option and p[other] is not None:
-            raise UsageError(f"--check {p['check']} does not read --{other}")
+        if other != option and getattr(ns, other) is not None:
+            raise UsageError(f"--check {ns.check} does not read --{other}")
     try:
-        produced = produce(n_list, p[option])
+        produced = produce(n_list, getattr(ns, option))
     except continuum.OutOfRange as exc:
         raise UsageError(str(exc)) from exc
     lines = [header]
     for prefix, label, series in produced:
         lines += [f"{prefix}{n},{_float_csv(v)}" for n, v in zip(series.n_values, series.values)]
         print(f"{label}estimate {series.fit['estimate']!r} rate {series.fit['rate']!r}")
-    _write(p["out"], "\n".join(lines) + "\n")
+    _write(ns.out, "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_selftest(cfg: RunConfig) -> int:
+def _cmd_selftest(ns: argparse.Namespace) -> int:
     numbers = None
-    if cfg.params["criteria"]:
-        numbers = {str(c) for (c,) in cfg.params["criteria"]}
+    if ns.criteria:
+        numbers = {str(c) for (c,) in ns.criteria}
         unknown = numbers.difference(num for num, _name, _func in acceptance.CRITERIA)
         if unknown:
             raise UsageError(f"no criterion numbered {', '.join(sorted(unknown))}")
-    return 0 if acceptance.run_all(numbers, seed=cfg.seed) else 1
+    return 0 if acceptance.run_all(numbers, seed=ns.seed) else 1
 
 
 # computational failures: reported in one line with exit code 1
@@ -390,8 +381,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = parse_args(argv)
-        return _COMMANDS[cfg.command](cfg)
+        ns = parse_args(argv)
+        return _COMMANDS[ns.command](ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

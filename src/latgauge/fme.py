@@ -21,7 +21,7 @@ dressed move; the protocol and the null test both take it.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field as dataclass_field
 from types import MappingProxyType
 
@@ -243,8 +243,9 @@ def _trace(spec: ProtocolSpec, energies: list[float], tau: float) -> ProtocolTra
     return ProtocolTrace(final_spin, phases, vn_entropy(reduced_spin_a(final_spin)))
 
 
-def run_protocol(spec: ProtocolSpec, kernels: KernelTable) -> tuple[ProtocolTrace, ...]:
-    """Execute steps 0-5 and return one trace per tau in ``spec.taus``.
+def run_protocol(spec: ProtocolSpec, kernels: KernelTable) -> Iterator[ProtocolTrace]:
+    """Execute steps 0-5 and return a lazy iterator of one trace per tau
+    in ``spec.taus``.
 
     Step 0 prepares the product state: both spins in (up+down)/sqrt(2),
     matter in the two-charge start configuration, field in that sector's
@@ -259,13 +260,15 @@ def run_protocol(spec: ProtocolSpec, kernels: KernelTable) -> tuple[ProtocolTrac
     meet only in the readout, and no field is built. Only the phases
     depend on tau: the moves and their proofs (``_branch_walk``) and the
     four sector energies, D lookups at the occupied sites, are taken
-    once per call.
+    once, when the function is called, so they raise there; each trace
+    is built only when the iterator reaches its tau, so a long sweep
+    holds one at a time.
     """
     energies = []
     for moved, _dressings in _branch_walk(spec, kernels):
         rows, cols = np.array(sorted(moved.occupied)).T
         energies.append(sector_energy(rows, cols, np.ones(len(rows)), kernels))
-    return tuple(_trace(spec, energies, tau) for tau in spec.taus)
+    return (_trace(spec, energies, tau) for tau in spec.taus)
 
 
 def reduced_spin_a(final_spin: np.ndarray) -> np.ndarray:

@@ -205,7 +205,8 @@ def gauss_bound(charges, kernels: KernelTable) -> float:
     r0, p_max = _unit_proof(kernels)
     a = kernels.grid.spacing
     q = float(np.sum(np.abs(charges)))
-    allowance = 8.0 * np.finfo(float).eps * q * q * (kernels.d(0, 0) / a**2 + (p_max + 2.0 * a) / a)
+    # a is never squared, so a tiny spacing cannot underflow a^2 to 0
+    allowance = 8.0 * np.finfo(float).eps * q * q * (kernels.d(0, 0) / a + p_max + 2.0 * a) / a
     bound = q * r0 + allowance
     if not bound <= CONSTRAINT_TOL:
         raise AssertionError(f"background violates the Gauss law by up to {bound:.2e}")

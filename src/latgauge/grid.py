@@ -61,19 +61,20 @@ class GridSpec:
         return (i % n, j % n)
 
 
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """Real-valued function on the grid, stored dense row-major. The
     field takes ownership of ``values`` and makes it read-only."""
 
-    __slots__ = ("grid", "values")
+    grid: GridSpec
+    values: np.ndarray
 
-    def __init__(self, grid: GridSpec, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise ValueError(f"expected shape {grid.shape}, got {values.shape}")
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != self.grid.shape:
+            raise ValueError(f"expected shape {self.grid.shape}, got {values.shape}")
         values.flags.writeable = False
-        self.grid = grid
-        self.values = values
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "ScalarField":
@@ -103,17 +104,20 @@ class ScalarField:
         return float(np.max(np.abs(self.values)))
 
 
+@dataclass(frozen=True, eq=False)
 class VectorField:
     """Pair of scalar fields (x and y components) on a shared grid."""
 
-    __slots__ = ("grid", "x", "y")
+    x: ScalarField
+    y: ScalarField
 
-    def __init__(self, x_component: ScalarField, y_component: ScalarField):
-        if x_component.grid != y_component.grid:
+    def __post_init__(self):
+        if self.x.grid != self.y.grid:
             raise ValueError("components must share one grid")
-        self.grid = x_component.grid
-        self.x = x_component
-        self.y = y_component
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.x.grid
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "VectorField":

@@ -50,19 +50,20 @@ class NonRealResult(Exception):
     signalling a conjugate-symmetry violation upstream."""
 
 
+@dataclass(frozen=True, eq=False)
 class FourierField:
     """Complex mode array indexed by (alpha, beta); the field takes
     ownership of ``modes`` and makes it read-only."""
 
-    __slots__ = ("grid", "modes")
+    grid: GridSpec
+    modes: np.ndarray
 
-    def __init__(self, grid: GridSpec, modes):
-        modes = np.asarray(modes, dtype=complex)
-        if modes.shape != grid.shape:
-            raise ValueError(f"expected shape {grid.shape}, got {modes.shape}")
+    def __post_init__(self):
+        modes = np.asarray(self.modes, dtype=complex)
+        if modes.shape != self.grid.shape:
+            raise ValueError(f"expected shape {self.grid.shape}, got {modes.shape}")
         modes.flags.writeable = False
-        self.grid = grid
-        self.modes = modes
+        object.__setattr__(self, "modes", modes)
 
 
 def _dft_matrix(n: int) -> np.ndarray:
@@ -165,36 +166,47 @@ def _mode_weights(grid: GridSpec, power: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(kept, 1.0 / safe**power, 0.0), kept
 
 
-def _assert_even(values: np.ndarray) -> None:
+def _assert_table(values: np.ndarray) -> None:
+    """A kernel table is even under offset negation, and positive at
+    offset 0, where it is the sum of the positive weights."""
     # one N^2 temporary: the defect, worked in place; a NaN fails the test
     defect = np.roll(values[::-1, ::-1], (1, 1), axis=(0, 1))
     defect -= values
     scale = max(values.max(), -values.min())
     if not np.max(np.abs(defect, out=defect)) <= 1e-10 * scale:
         raise AssertionError("kernel table is not even under offset negation")
+    if not values[0, 0] > 0:
+        raise AssertionError(f"kernel table is {float(values[0, 0])!r} at offset 0, not positive")
 
 
 def kernel_values(grid: GridSpec, power: int) -> np.ndarray:
     """Real-space kernel ``sum_{k != 0} e^{ik.x} / |k|^power / N^2`` at
     every site offset, indexed [di, dj]: G for power 1, D for power 2.
 
-    The mode sum is evaluated as one FFT. The excluded-mode count, a real
-    result and evenness under offset negation are asserted on every call.
-    Returns a read-only array.
+    The mode sum is evaluated as one FFT. The excluded-mode count, a
+    finite positive weight on every kept mode, a real result, evenness
+    under offset negation and a positive value at offset 0 are checked
+    on every call, so a spacing so extreme that ``|k|^power`` overflows
+    or underflows raises instead of giving a wrong table. Returns a
+    read-only array.
     """
-    weights, kept = _mode_weights(grid, power)
+    with np.errstate(over="ignore", divide="ignore"):
+        weights, kept = _mode_weights(grid, power)
     n = grid.n
-    excluded = n * n - int(np.count_nonzero(kept))
-    if excluded != zero_mode_count(grid):
+    n_kept = int(np.count_nonzero(kept))
+    if n * n - n_kept != zero_mode_count(grid):
         raise AssertionError(
-            f"expected {zero_mode_count(grid)} zero modes, found {excluded}"
+            f"expected {zero_mode_count(grid)} zero modes, found {n * n - n_kept}"
         )
+    # a kept weight is 0 where |k|^power overflowed and inf where it underflowed
+    if np.count_nonzero(weights) != n_kept or not np.all(np.isfinite(weights)):
+        raise ValueError(f"mode weights 1/|k|^{power} overflow or underflow at spacing {grid.spacing!r}")
     # (1/N^2) sum_ab M[a,b] e^{-i 2pi (di a + dj b)/N} = fft2(M)[di,dj]/N^2
     values = np.fft.fft2(weights) / n**2
     if np.max(np.abs(values.imag)) > 1e-10 * np.max(np.abs(values)):
         raise AssertionError("kernel sum acquired a non-real part")
     values = np.real(values).copy()
-    _assert_even(values)
+    _assert_table(values)
     values.flags.writeable = False
     return values
 
@@ -220,7 +232,8 @@ def save_kernels(table: KernelTable, path) -> None:
 def load_kernels(path) -> KernelTable:
     """Read a table written by ``save_kernels``. A bad magic (including
     an older format), an unknown policy byte, a payload shorter or longer
-    than N^2 doubles and a table that is not even all raise."""
+    than N^2 doubles and a table that is not even or not positive at
+    offset 0 all raise."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER_SIZE)
         if len(header) != _HEADER_SIZE:
@@ -238,7 +251,7 @@ def load_kernels(path) -> KernelTable:
         if payload > 8 * n * n:
             raise ValueError("trailing bytes after the kernel cache payload")
         d = np.fromfile(fh, dtype="<f8", count=n * n).reshape(n, n)
-    _assert_even(d)
+    _assert_table(d)
     return KernelTable(grid, d)
 
 

@@ -296,8 +296,7 @@ def _literal_in_center(op, region, grid):
     with every interior magnetic cross of the region."""
     coords = {(site, comp) for site in region.sites() for comp in ("x", "y")}
     return (
-        op.scalar == 0
-        and not op.q_coeffs
+        not op.q_coeffs
         and coords.issuperset(op.p_coeffs)
         and all(
             commutator_scalar(op, b_operator(grid, site)) == 0
@@ -463,7 +462,7 @@ class TestSparseRref:
 def _center_probes(draw):
     """A region on a small grid, often at its edges, where neighbours
     wrap, and an operator mixing its catalog entries with p terms at any
-    site, inside the region or not, and sometimes a q term or a scalar."""
+    site, inside the region or not, and sometimes a q term."""
     n = draw(st.integers(4, 8))
     m = draw(st.integers(3, n - 1))
     corner = st.sampled_from([0, n - m]) | st.integers(0, n - m)
@@ -480,8 +479,6 @@ def _center_probes(draw):
         op = op + c * p_op(s, comp)
     if draw(st.integers(0, 5)) == 5:
         op = op + q_op(draw(site), draw(st.sampled_from("xy")))
-    if draw(st.integers(0, 5)) == 5:
-        op = op + LinearOperator(scalar=draw(_SMALL))
     return op, region, grid
 
 
@@ -576,8 +573,9 @@ class TestRendering:
         text = str(b_operator(grid, (4, 4)))
         assert "q_y[4,5]" in text and "(-1/2)" in text and "(1/2)" in text
 
-    def test_scalar_only(self):
-        assert str(LinearOperator(scalar=Fraction(3, 4))) == "(3/4)"
+    def test_zero_operator(self):
+        assert str(LinearOperator()) == "(0)"
+        assert str(p_op((1, 1), "x") - p_op((1, 1), "x")) == "(0)"
 
 
 class TestGeneratorSet:
@@ -599,5 +597,6 @@ class TestGeneratorSet:
                 GeneratorSet(gens)
 
     def test_rejects_zero_and_scalar_generators(self):
+        # with no scalar part, an operator without q or p terms is zero
         with pytest.raises(ValueError):
-            GeneratorSet([p_op((1, 1), "x"), LinearOperator(scalar=3)])
+            GeneratorSet([p_op((1, 1), "x"), LinearOperator()])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latgauge import cli
-from latgauge.cli import RunConfig, UsageError, _parse_sweep, main, parse_args
+from latgauge.cli import UsageError, _parse_sweep, main, parse_args
 from latgauge.dynamics import UnstableStep
 from latgauge.fme import NotSeparable
 from latgauge.spectral import NonRealResult
@@ -35,9 +35,8 @@ class TestParsing:
         cfg = parse_args(
             ["coulomb", "--n", "101", "--charges", "50,40;50,60", "--out", "x.json"]
         )
-        assert isinstance(cfg, RunConfig)
         assert cfg.command == "coulomb"
-        assert cfg.params["charges"] == [(50, 40), (50, 60)]
+        assert cfg.charges == [(50, 40), (50, 60)]
 
     def test_tiny_lattice_rejected(self):
         with pytest.raises(UsageError):
@@ -269,6 +268,21 @@ class TestNumericArguments:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["dynamics", "--n", "4", "--dt", "0.1", "--steps", "1", "--out", "OUT"], ["selftest"]],
+        ids=["dynamics", "selftest"],
+    )
+    def test_negative_seed(self, tmp_path, capsys, argv):
+        # numpy rejected it only when a run drew from it: selftest after
+        # criteria 1-3 had passed
+        out = tmp_path / "traj.csv"
+        code = run(["--seed", "-1", *(str(out) if x == "OUT" else x for x in argv)], tmp_path)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --seed must be nonnegative, got -1\n"
+        assert not out.exists()
+
     def test_off_grid_charge(self, tmp_path, capsys):
         code = run(
             ["coulomb", "--n", "9", "--charges", "20,20", "--out",
@@ -326,6 +340,27 @@ class TestOverflow:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("a", ["1e-300", "1e-154", "1e300"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fme", "--n", "101", "--sites", "50,40:50,60", "--out", "OUT"],
+            ["coulomb", "--n", "101", "--charges", "50,40;50,60", "--out", "OUT"],
+        ],
+        ids=["fme", "coulomb"],
+    )
+    def test_extreme_spacing(self, tmp_path, capsys, argv, a):
+        # |k|^2 overflows at a tiny spacing, dropping weights (at 1e-154
+        # only the largest |k|, at 1e-300 all, leaving D all zeros), and
+        # underflows at a huge one, giving infinite weights; no such table
+        # is used, and numpy warns of none
+        out = tmp_path / "out"
+        code = run([*(str(out) if x == "OUT" else x for x in argv), "--a", a], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
 
     def test_unstable_dynamics(self, tmp_path, capsys):

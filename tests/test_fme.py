@@ -291,7 +291,7 @@ class TestRunProtocol:
         gamma_prime = {"LL": 0.3, "LR": 0.0, "RL": -1.1, "RR": 2.0}
         kernels = build_kernels(GridSpec(25, 1.0))
         spec = small_spec(taus=np.linspace(0.0, 5.0, 6), gamma=gamma, gamma_prime=gamma_prime)
-        traces = run_protocol(spec, kernels)
+        traces = list(run_protocol(spec, kernels))
         assert len(traces) == 6
         for trace in traces:
             # each branch's amplitude carries gamma(s) + phi(s) + gamma'(s)
@@ -319,7 +319,12 @@ class TestRunProtocol:
         calls = []
         wrap = fme.wrap_phase
         monkeypatch.setattr(fme, "wrap_phase", lambda phi: calls.append(phi) or wrap(phi))
-        run_protocol(small_spec(taus=np.linspace(0.0, 5.0, 6)), small_kernels)
+        traces = run_protocol(small_spec(taus=np.linspace(0.0, 5.0, 6)), small_kernels)
+        # each trace is built when the iterator reaches its tau
+        assert calls == []
+        next(traces)
+        assert len(calls) == 4 * 4
+        assert len(list(traces)) == 5
         assert len(calls) == 6 * 4 * 4
 
     def test_entanglement_increase_equals_reduced_entropy(self, small_kernels):
@@ -467,7 +472,7 @@ class TestProvenGaussLaw:
     @given(spec=protocol_specs())
     def test_matches_field_building_oracle(self, spec):
         kernels = build_kernels(spec.grid)
-        traces = run_protocol(spec, kernels)
+        traces = list(run_protocol(spec, kernels))
         assert len(traces) == len(spec.taus)
         for tau, trace in zip(spec.taus, traces):
             phases, final_spin, residuals = _oracle_protocol(spec, kernels, tau)

@@ -281,6 +281,36 @@ class TestFrozenValues:
         ops.append(p_op((2, 2), "y"))
         assert gens.generators == (p_op((1, 1), "x"),)
 
+    def test_center_basis_elements_are_read_only(self):
+        from latgauge.algebra import Region, center_basis, in_center_span
+
+        grid, region = GridSpec(9, 1.0), Region((1, 1), 5)
+        element = center_basis(region, grid).generators[0]
+        with pytest.raises(TypeError):
+            element.p_coeffs[((0, 0), "x")] = 1
+        with pytest.raises(TypeError):
+            element.q_coeffs[((0, 0), "x")] = 1
+        assert in_center_span(element, region, grid)
+
+    def test_value_attributes_cannot_be_reassigned(self):
+        from dataclasses import FrozenInstanceError
+
+        from latgauge.algebra import p_op
+        from latgauge.spectral import dft_forward
+
+        grid = GridSpec(5, 1.0)
+        f = random_field(grid)
+        values = {
+            "q_coeffs": p_op((1, 1), "x"),
+            "values": f,
+            "x": VectorField(f, f),
+            "modes": dft_forward(f),
+        }
+        for name, value in values.items():
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
+        assert VectorField(f, f).grid == grid
+
     def test_convergence_fit_is_read_only(self):
         from latgauge.continuum import ConvergenceSeries, kvec_convergence
 

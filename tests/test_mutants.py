@@ -294,7 +294,7 @@ def test_dropped_duplicate_check_fails_duplicate_tests(monkeypatch, tmp_path, ca
 
 def test_dropped_criterion_check_fails_unknown_criterion_test(monkeypatch, capsys):
     def without_name_check(cfg):
-        numbers = {str(c) for (c,) in cfg.params["criteria"]}
+        numbers = {str(c) for (c,) in cfg.criteria}
         return 0 if acceptance.run_all(numbers, seed=cfg.seed) else 1
 
     monkeypatch.setitem(cli._COMMANDS, "selftest", without_name_check)
@@ -345,15 +345,20 @@ def test_skipped_cross_commutators_fail_non_member_test(monkeypatch):
     # support and q checks alone accept any p combination in the region;
     # TestCenterOracle's `mixed` operator has a q part, so it misses this
     def without_commutators(op, region, grid):
-        return (
-            op.scalar == 0
-            and not op.q_coeffs
-            and all(region.contains(site) for site, _comp in op.p_coeffs)
-        )
+        return not op.q_coeffs and all(region.contains(site) for site, _comp in op.p_coeffs)
 
     monkeypatch.setattr(test_algebra, "in_center_span", without_commutators)
     with pytest.raises(AssertionError):
         test_algebra.TestCenter().test_non_member_rejected()
+
+
+def test_plain_dict_coefficients_fail_read_only_center_test(monkeypatch):
+    # the operator keeps its cleaned coefficients as plain dicts again, so
+    # a proven center element can be rewritten in place
+    clean = algebra._clean
+    monkeypatch.setattr(algebra, "_clean", lambda coeffs: dict(clean(coeffs)))
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_grid.TestFrozenValues().test_center_basis_elements_are_read_only()
 
 
 def _leapfrog_loop(refresh=True, start_scale=1.0):

@@ -269,6 +269,19 @@ class TestKernelCache:
         table = load_or_build_kernels(grid, tmp_path)
         np.testing.assert_array_equal(table.d_values, build_kernels(grid).d_values)
 
+    def test_zero_payload_rejected(self, tmp_path):
+        # a table of zeros, as |k|^2 overflowing at a tiny spacing gives,
+        # is even but is no kernel table; the cache rebuilds it
+        grid = GridSpec(5, 1.0)
+        load_or_build_kernels(grid, tmp_path)
+        (cache_file,) = tmp_path.iterdir()
+        header = cache_file.read_bytes()[:17]
+        cache_file.write_bytes(header + np.zeros(25).tobytes())
+        with pytest.raises(AssertionError, match="0.0 at offset 0, not positive"):
+            load_kernels(cache_file)
+        table = load_or_build_kernels(grid, tmp_path)
+        np.testing.assert_array_equal(table.d_values, build_kernels(grid).d_values)
+
     def test_file_holds_header_and_d_only(self, tmp_path):
         path = tmp_path / "kern.lgk"
         save_kernels(build_kernels(GridSpec(1001, 1.0)), path)

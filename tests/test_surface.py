@@ -1,9 +1,11 @@
-"""The public surface: every exported name resolves, every function the
+"""The public surface: every exported name resolves, every exported
+class other than an exception is a frozen dataclass, every function the
 benchmark's layer trace wraps still exists and records calls on a traced
 op, every argv the benchmark generates or README.md shows still parses,
 and every function in the package reads each of its parameters."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -53,6 +55,21 @@ def test_nullspace_cache_exists():
     from latgauge import algebra
 
     assert isinstance(algebra._NULLSPACE_CACHE, dict)
+
+
+def test_exported_classes_are_frozen_dataclasses():
+    # README's immutable-values rule: a value handed out by the package
+    # cannot be reassigned; exceptions and warnings are not values
+    hand_rolled = []
+    for module_name in MODULES:
+        module = importlib.import_module(module_name)
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not isinstance(obj, type) or issubclass(obj, BaseException):
+                continue
+            if not (dataclasses.is_dataclass(obj) and obj.__dataclass_params__.frozen):
+                hand_rolled.append(f"{module_name}.{name}")
+    assert hand_rolled == []
 
 
 WORKLOADS = _load_perfbench("workloads")
