@@ -14,17 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import (
-    GridSpec,
-    ScalarField,
-    VectorField,
-    _curl_values,
-    _dbar_values,
-    _divergence_values,
-    curl_z,
-    dbar,
-    divergence,
-)
+from .grid import GridSpec, ScalarField, VectorField, curl_z, dbar, divergence
 
 __all__ = [
     "UnstableStep",
@@ -122,14 +112,18 @@ def _energy(qx, qy, px, py, b, source: SourceConfig) -> float:
     return quad - coupling
 
 
-def _force(qx, qy, source: SourceConfig, a: float):
-    """Momentum equations on raw arrays: with ``b = dbar_x(qy) - dbar_y(qx)``,
-    ``dp_x = -dbar_y(b) + Jx`` and ``dp_y = +dbar_x(b) + Jy``. Returns
-    ``(fx, fy, b)``."""
-    b = _curl_values(qx, qy, a)
-    fx = -_dbar_values(b, "y", a) + source.jx.values
-    fy = _dbar_values(b, "x", a) + source.jy.values
-    return fx, fy, b
+_FORCE_SIGN = np.array([-1.0, 1.0]).reshape(2, 1, 1)
+
+
+def _force(q, j, a: float, stencils):
+    """Momentum equations on the stacked ``q = (qx, qy)``: with
+    ``b = dbar_x(qy) - dbar_y(qx)``, ``dp_x = -dbar_y(b) + Jx`` and
+    ``dp_y = +dbar_x(b) + Jy``, ``j`` the stacked ``(Jx, Jy)``. Returns
+    the stacked force and ``b``; the sign is an exact multiply."""
+    curl, force, _div = stencils
+    dq = _gather(q, curl, a)  # (dbar_y qx, dbar_x qy)
+    b = dq[1] - dq[0]
+    return _FORCE_SIGN * _gather(b, force, a) + j, b
 
 
 def eom_rhs(
@@ -137,8 +131,10 @@ def eom_rhs(
 ) -> tuple[VectorField, VectorField]:
     """Hamilton equations: dq_s = p_s, dp_x = -dbar_y(b) + Jx,
     dp_y = +dbar_x(b) + Jy."""
-    fx, fy, _b = _force(state.q.x.values, state.q.y.values, source, state.grid.spacing)
-    return state.p, VectorField.from_arrays(state.grid, fx, fy)
+    q, _p, j = _stacked(state, source)
+    f, _b = _force(q, j, state.grid.spacing, _stencils(state.grid.n))
+    f.flags.writeable = False
+    return state.p, VectorField.from_arrays(state.grid, *f)
 
 
 def step_leapfrog(
@@ -151,6 +147,8 @@ def step_leapfrog(
     """Advance with kick-drift-kick leapfrog.
 
     Sources must be static (J may be nonzero but time independent).
+    ``trajectory``, the path of ``latgauge dynamics``, runs the same
+    loop and force, and yields a row after every step.
 
     Raises
     ------
@@ -159,14 +157,14 @@ def step_leapfrog(
         1% of |H0|, the signature of dt exceeding the stability limit.
     """
     _check_step_args(dt, n_steps)
-    qx, qy, px, py = _arrays(state)
-    for _b in _kick_drift_kick(qx, qy, px, py, source, dt, n_steps, state.grid.spacing):
-        pass
-
     grid = state.grid
+    q, p, j = _stacked(state, source)
+    for _b in _kick_drift_kick(q, p, j, dt, n_steps, grid.spacing, _stencils(grid.n)):
+        pass
+    q.flags.writeable = p.flags.writeable = False  # the fields are views
     out = PhaseSpaceState(
-        VectorField.from_arrays(grid, qx, qy),
-        VectorField.from_arrays(grid, px, py),
+        VectorField.from_arrays(grid, *q),
+        VectorField.from_arrays(grid, *p),
         time=state.time + dt * n_steps,
     )
     if energy_check:
@@ -194,15 +192,16 @@ def trajectory(state: PhaseSpaceState, source: SourceConfig, dt: float, n_steps:
     h0 = energy(state, source)
     t = float(state.time)
     yield t, h0, constraint_residual(state, source).max_abs()
-    qx, qy, px, py = _arrays(state)
-    a = state.grid.spacing
+    q, p, j = _stacked(state, source)
+    a, stencils = state.grid.spacing, _stencils(state.grid.n)
     rho = source.rho.values
-    steps = _kick_drift_kick(qx, qy, px, py, source, dt, n_steps, a)
+    steps = _kick_drift_kick(q, p, j, dt, n_steps, a, stencils)
     for step, b in enumerate(steps, start=1):
         t += dt  # the time step_leapfrog gives, one step at a time
-        h = _energy(qx, qy, px, py, b, source)
+        h = _energy(*q, *p, b, source)
         _check_drift(h0, h, step)
-        yield t, h, float(np.max(np.abs(_divergence_values(px, py, a) + rho)))
+        dp = _gather(p, stencils[2], a)  # (dbar_x px, dbar_y py)
+        yield t, h, float(np.max(np.abs(dp[0] + dp[1] + rho)))
 
 
 def _check_step_args(dt: float, n_steps: int) -> None:
@@ -212,28 +211,44 @@ def _check_step_args(dt: float, n_steps: int) -> None:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
 
 
-def _arrays(state: PhaseSpaceState):
-    """Fresh copies of ``(qx, qy, px, py)`` for the stepper to mutate."""
-    q, p = state.q, state.p
-    return q.x.values.copy(), q.y.values.copy(), p.x.values.copy(), p.y.values.copy()
+def _stacked(state: PhaseSpaceState, source: SourceConfig):
+    """Fresh (2, N, N) stacks of q, p and J; the stepper mutates q and p."""
+    pairs = (state.q.x, state.q.y), (state.p.x, state.p.y), (source.jx, source.jy)
+    return [np.array((x.values, y.values)) for x, y in pairs]
 
 
-def _kick_drift_kick(
-    qx, qy, px, py, source: SourceConfig, dt: float, n_steps: int, a: float
-):
+def _stencils(n: int):
+    """``(plus, minus)`` flat gather indices, wrapped mod N, of the three
+    stencils: ``curl`` takes ``(dbar_y, dbar_x)`` of a (2, N, N) stack's
+    components, ``force`` that pair of one N x N array, ``div``
+    ``(dbar_x, dbar_y)`` of a stack's."""
+    r = np.arange(n)
+    steps = (r + np.array([[1], [-1]])) % n
+    pm = np.empty((2, 2, n, n), dtype=np.intp)  # (plus/minus, along y/x, row, column)
+    pm[:, 0], pm[:, 1] = steps[:, :, None] * n + r, r[:, None] * n + steps[:, None, :]
+    shift = np.array([0, n * n]).reshape(2, 1, 1)  # into a stack's second component
+    return pm + shift, pm, pm[:, ::-1] + shift
+
+
+def _gather(v, stencil, a: float):
+    """``(v[plus] - v[minus]) / (2a)`` on the flat values of ``v``: per
+    component, the bits of ``grid.dbar``'s slice stencil."""
+    out = v.ravel()[stencil[0]] - v.ravel()[stencil[1]]
+    out /= 2.0 * a
+    return out
+
+
+def _kick_drift_kick(q, p, j, dt: float, n_steps: int, a: float, stencils):
     """The leapfrog loop: ``n_steps`` kick-drift-kick steps in place on
-    the four arrays, one force per step (the end-of-step force is the
-    next step's first kick). Yields the curl ``b`` of q after each
-    step."""
-    fx, fy, _b = _force(qx, qy, source, a)
+    the stacked (2, N, N) q and p, one force per step (the end-of-step
+    force is the next step's first kick). Yields the curl ``b`` of q
+    after each step."""
+    f, _b = _force(q, j, a, stencils)
     for _ in range(n_steps):
-        px += 0.5 * dt * fx
-        py += 0.5 * dt * fy
-        qx += dt * px
-        qy += dt * py
-        fx, fy, b = _force(qx, qy, source, a)
-        px += 0.5 * dt * fx
-        py += 0.5 * dt * fy
+        p += 0.5 * dt * f
+        q += dt * p
+        f, b = _force(q, j, a, stencils)
+        p += 0.5 * dt * f
         yield b
 
 

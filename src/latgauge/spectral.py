@@ -250,7 +250,9 @@ def load_kernels(path) -> KernelTable:
             raise ValueError("truncated kernel cache payload")
         if payload > 8 * n * n:
             raise ValueError("trailing bytes after the kernel cache payload")
-        d = np.fromfile(fh, dtype="<f8", count=n * n).reshape(n, n)
+        flat = np.fromfile(fh, dtype="<f8", count=n * n)
+        flat.flags.writeable = False  # the base of the table's 2D view
+        d = flat.reshape(n, n)
     _assert_table(d)
     return KernelTable(grid, d)
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,12 +20,36 @@ from latgauge.dynamics import (
     trajectory,
 )
 from latgauge.gaussian import coulomb_momentum
-from latgauge.grid import GridSpec, ScalarField, VectorField, curl_z, dbar, divergence
+from latgauge.grid import (
+    GridSpec,
+    ScalarField,
+    VectorField,
+    _curl_values,
+    _dbar_values,
+    curl_z,
+    dbar,
+    divergence,
+)
 from latgauge.spectral import build_kernels, dft_forward, wave_number_table
 
 
 def random_state(grid, seed=0):
     return PhaseSpaceState.random(grid, np.random.default_rng(seed))
+
+
+def slice_force(qx, qy, source, a):
+    """The oracle of the stepper's stacked gathers: the force on the
+    slice stencils of ``grid._dbar_values``. With ``b = dbar_x(qy) -
+    dbar_y(qx)``, ``dp_x = -dbar_y(b) + Jx`` and ``dp_y = +dbar_x(b) + Jy``."""
+    b = _curl_values(qx, qy, a)
+    fx = -_dbar_values(b, "y", a) + source.jx.values
+    fy = _dbar_values(b, "x", a) + source.jy.values
+    return fx, fy
+
+
+def random_source(grid, rng):
+    rho, jx, jy = (ScalarField(grid, rng.standard_normal(grid.shape)) for _ in range(3))
+    return SourceConfig(rho, jx, jy)
 
 
 def pure_gauge_state(grid, seed=0):
@@ -79,6 +103,26 @@ class TestEom:
         state = random_state(grid, 4)
         _dq, dp = eom_rhs(state, SourceConfig.vacuum(grid))
         assert divergence(dp).max_abs() < 1e-14
+
+    @given(
+        n=st.integers(3, 12),
+        a=st.sampled_from([0.3, 0.7, 1.0, 2.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=3, a=0.3, seed=0)
+    @example(n=4, a=2.5, seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_force_equals_slice_oracle_bit_for_bit(self, n, a, seed):
+        # random q and nonzero Jx, Jy: the gathered curl, the signed
+        # gathered dbar of b and the added J each keep the slice bits
+        grid = GridSpec(n, a)
+        rng = np.random.default_rng(seed)
+        source = random_source(grid, rng)
+        state = PhaseSpaceState.random(grid, rng)
+        _dq, dp = eom_rhs(state, source)
+        fx, fy = slice_force(state.q.x.values, state.q.y.values, source, a)
+        for got, want in ((dp.x.values, fx), (dp.y.values, fy)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_current_drives_momentum(self):
         grid = GridSpec(5, 1.0)
@@ -171,22 +215,21 @@ class TestLeapfrog:
         assert (after - before).max_abs() < 1e-9
 
     def test_one_step_is_kick_drift_kick_of_eom_rhs(self):
-        # the stepper's force and the equations of motion are one force
+        # one step is two half-kicks of the slice-stencil force around a
+        # drift, bit for bit; eom_rhs's force is that force (see above)
         grid = GridSpec(8, 1.0)
-        rng = np.random.default_rng(17)
-        rho, jx, jy = (ScalarField(grid, rng.standard_normal(grid.shape)) for _ in range(3))
-        source = SourceConfig(rho, jx, jy)
+        source = random_source(grid, np.random.default_rng(17))
         state = random_state(grid, 18)
         dt = 0.05
-        _dq, dp = eom_rhs(state, source)
-        p_half = state.p + 0.5 * dt * dp
-        q1 = state.q + dt * p_half
-        _dq, dp1 = eom_rhs(PhaseSpaceState(q1, p_half), source)
-        p1 = p_half + 0.5 * dt * dp1
+        qx, qy = state.q.x.values, state.q.y.values
+        fx, fy = slice_force(qx, qy, source, grid.spacing)
+        px, py = state.p.x.values + 0.5 * dt * fx, state.p.y.values + 0.5 * dt * fy
+        qx, qy = qx + dt * px, qy + dt * py
+        fx, fy = slice_force(qx, qy, source, grid.spacing)
+        px, py = px + 0.5 * dt * fx, py + 0.5 * dt * fy
         out = step_leapfrog(state, source, dt, 1)
-        for got, want in ((out.q, q1), (out.p, p1)):
-            np.testing.assert_array_equal(got.x.values, want.x.values)
-            np.testing.assert_array_equal(got.y.values, want.y.values)
+        for got, want in zip((out.q.x, out.q.y, out.p.x, out.p.y), (qx, qy, px, py)):
+            np.testing.assert_array_equal(got.values.view(np.uint64), want.view(np.uint64))
 
     def test_unstable_step_raises(self):
         grid = GridSpec(16, 1.0)
@@ -252,7 +295,14 @@ def stepwise_rows(state, source, dt, n_steps):
 
 class TestTrajectory:
     @pytest.mark.parametrize(
-        "n, a, dt, n_steps", [(8, 1.0, 0.05, 200), (9, 0.7, 0.03, 150), (8, 1.0, 0.05, 0)]
+        "n, a, dt, n_steps",
+        [
+            (8, 1.0, 0.05, 200),
+            (9, 0.7, 0.03, 150),
+            (8, 1.0, 0.05, 0),
+            (3, 1.0, 0.05, 200),  # every site touches a wrapped edge
+            (4, 0.7, 0.03, 150),
+        ],
     )
     def test_rows_equal_stepwise_oracle(self, n, a, dt, n_steps):
         # static rho and J both nonzero, so the coupling and the rho term

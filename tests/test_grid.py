@@ -213,6 +213,7 @@ class TestFrozenValues:
 
     @staticmethod
     def frozen_arrays(tmp_path):
+        from latgauge.dynamics import PhaseSpaceState, SourceConfig, eom_rhs, step_leapfrog
         from latgauge.gaussian import coulomb_momentum
         from latgauge.matter import MatterConfig, density
         from latgauge.spectral import (
@@ -234,6 +235,8 @@ class TestFrozenValues:
         dipole = np.zeros(grid.shape)
         dipole[1, 1], dipole[4, 4] = 1.0, -1.0
         p = coulomb_momentum(ScalarField(grid, dipole), kernels)
+        state = PhaseSpaceState.random(grid, np.random.default_rng(6))
+        source = SourceConfig.vacuum(grid)
         return {
             "constructor": f.values,
             "zeros": ScalarField.zeros(grid).values,
@@ -250,6 +253,8 @@ class TestFrozenValues:
             "wave_number": wave_number_table(grid)[2],
             "built_d": kernels.d_values,
             "loaded_d": loaded.d_values,
+            "step_leapfrog": step_leapfrog(state, source, 0.05, 2).q.x.values,
+            "eom_rhs": eom_rhs(state, source)[1].y.values,
         }
 
     def test_in_place_writes_raise(self, tmp_path):
@@ -259,6 +264,8 @@ class TestFrozenValues:
             with pytest.raises(ValueError, match="read-only"):
                 values += 1.0
             assert not values.flags.writeable, name
+            # a view of a writeable array could still be changed through it
+            assert values.base is None or not values.base.flags.writeable, name
 
     def test_generator_sets_are_frozen(self):
         from dataclasses import FrozenInstanceError

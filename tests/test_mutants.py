@@ -366,19 +366,16 @@ def _leapfrog_loop(refresh=True, start_scale=1.0):
     left stale after the first step (``refresh=False``) or its start
     force scaled by ``start_scale``."""
 
-    def loop(qx, qy, px, py, source, dt, n_steps, a):
-        fx, fy, _b = dynamics._force(qx, qy, source, a)
-        fx, fy = fx * start_scale, fy * start_scale
+    def loop(q, p, j, dt, n_steps, a, stencils):
+        f, _b = dynamics._force(q, j, a, stencils)
+        f = f * start_scale
         for _ in range(n_steps):
-            px += 0.5 * dt * fx
-            py += 0.5 * dt * fy
-            qx += dt * px
-            qy += dt * py
-            gx, gy, b = dynamics._force(qx, qy, source, a)
-            px += 0.5 * dt * gx
-            py += 0.5 * dt * gy
+            p += 0.5 * dt * f
+            q += dt * p
+            g, b = dynamics._force(q, j, a, stencils)
+            p += 0.5 * dt * g
             if refresh:
-                fx, fy = gx, gy
+                f = g
             yield b
 
     return loop
@@ -403,6 +400,24 @@ def test_leapfrog_force_mutant_fails_stepwise_oracle(monkeypatch, mutant, caught
     monkeypatch.setattr(dynamics, "_kick_drift_kick", _leapfrog_loop(**mutant))
     with pytest.raises(caught):
         _rows_equal_stepwise_oracle()
+
+
+def test_unwrapped_minus_neighbour_fails_force_oracle(monkeypatch):
+    # the x minus-neighbour of column j is max(j - 1, 0): column 0 reads
+    # itself, not column N - 1, in every stencil along x
+    stencils = dynamics._stencils
+
+    def unwrapped(n):
+        curl, force, div = stencils(n)
+        for minus_x in (curl[1, 1], force[1, 1], div[1, 0]):
+            minus_x[:, 0] -= n - 1
+        return curl, force, div
+
+    check = test_dynamics.TestEom.test_force_equals_slice_oracle_bit_for_bit.hypothesis.inner_test
+    check(test_dynamics.TestEom(), n=5, a=0.7, seed=0)
+    monkeypatch.setattr(dynamics, "_stencils", unwrapped)
+    with pytest.raises(AssertionError):
+        check(test_dynamics.TestEom(), n=5, a=0.7, seed=0)
 
 
 def test_time_from_step_count_fails_stepwise_oracle(monkeypatch):
