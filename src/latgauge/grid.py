@@ -61,10 +61,21 @@ class GridSpec:
         return (i % n, j % n)
 
 
+def _owned(values: np.ndarray) -> np.ndarray:
+    """``values`` made read-only, copied first if it is a view of memory
+    that can still be written, so that no one can change it through
+    another array."""
+    if values.base is not None and np.asarray(values.base).flags.writeable:
+        values = values.copy()
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Real-valued function on the grid, stored dense row-major. The
-    field takes ownership of ``values`` and makes it read-only."""
+    field takes ownership of ``values`` and makes it read-only; a view of
+    a writeable array is copied first."""
 
     grid: GridSpec
     values: np.ndarray
@@ -73,8 +84,7 @@ class ScalarField:
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.grid.shape:
             raise ValueError(f"expected shape {self.grid.shape}, got {values.shape}")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _owned(values))
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "ScalarField":
@@ -157,12 +167,15 @@ def _check_same_grid(a, b) -> None:
         raise ValueError("fields live on different grids")
 
 
-def _dbar_values(values: np.ndarray, direction: str, spacing: float) -> np.ndarray:
-    """``(v[j+1] - v[j-1]) / (2a)`` along one axis, indices wrapped mod N:
-    the interior by one slice subtraction, the two wrapped edges by one
-    each, then one in-place divide. This is the arithmetic of
-    ``(np.roll(v, -1) - np.roll(v, 1)) / (2a)`` without the two copies."""
-    out = np.empty_like(values)
+def _dbar_values(
+    values: np.ndarray, direction: str, spacing: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``(v[j+1] - v[j-1]) / (2a)`` along one axis, indices wrapped mod N,
+    into ``out`` if given: the interior by one slice subtraction, the two
+    wrapped edges by one each, then one in-place divide. This is the
+    arithmetic of ``(np.roll(v, -1) - np.roll(v, 1)) / (2a)`` without the
+    two copies."""
+    out = np.empty_like(values) if out is None else out
     # x: neighbours along columns (axis 1); y: along rows (axis 0)
     if direction == "x":
         np.subtract(values[:, 2:], values[:, :-2], out=out[:, 1:-1])
@@ -175,16 +188,6 @@ def _dbar_values(values: np.ndarray, direction: str, spacing: float) -> np.ndarr
     else:
         raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
     out /= 2.0 * spacing
-    return out
-
-
-def _curl_values(vx: np.ndarray, vy: np.ndarray, spacing: float) -> np.ndarray:
-    return _dbar_values(vy, "x", spacing) - _dbar_values(vx, "y", spacing)
-
-
-def _divergence_values(vx: np.ndarray, vy: np.ndarray, spacing: float) -> np.ndarray:
-    out = _dbar_values(vx, "x", spacing)
-    out += _dbar_values(vy, "y", spacing)
     return out
 
 
@@ -207,17 +210,17 @@ def curl_z(field: VectorField) -> ScalarField:
     Applied to the gauge potential this is the magnetic field of the
     model; it vanishes identically on pure-gauge configurations.
     """
-    return ScalarField(
-        field.grid, _curl_values(field.x.values, field.y.values, field.grid.spacing)
-    )
+    a = field.grid.spacing
+    b = _dbar_values(field.y.values, "x", a) - _dbar_values(field.x.values, "y", a)
+    return ScalarField(field.grid, b)
 
 
 def divergence(field: VectorField) -> ScalarField:
     """Discrete divergence ``dbar_x(v_x) + dbar_y(v_y)``."""
-    return ScalarField(
-        field.grid,
-        _divergence_values(field.x.values, field.y.values, field.grid.spacing),
-    )
+    a = field.grid.spacing
+    out = _dbar_values(field.x.values, "x", a)
+    out += _dbar_values(field.y.values, "y", a)
+    return ScalarField(field.grid, out)
 
 
 def sum_by_parts_residual(f: ScalarField, g: ScalarField, direction: str) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField
+from .grid import GridSpec, ScalarField, _owned
 
 __all__ = [
     "NonRealResult",
@@ -53,7 +53,8 @@ class NonRealResult(Exception):
 @dataclass(frozen=True, eq=False)
 class FourierField:
     """Complex mode array indexed by (alpha, beta); the field takes
-    ownership of ``modes`` and makes it read-only."""
+    ownership of ``modes`` and makes it read-only (a view of a writeable
+    array is copied first)."""
 
     grid: GridSpec
     modes: np.ndarray
@@ -62,8 +63,7 @@ class FourierField:
         modes = np.asarray(self.modes, dtype=complex)
         if modes.shape != self.grid.shape:
             raise ValueError(f"expected shape {self.grid.shape}, got {modes.shape}")
-        modes.flags.writeable = False
-        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "modes", _owned(modes))
 
 
 def _dft_matrix(n: int) -> np.ndarray:
@@ -142,14 +142,14 @@ class KernelTable:
     ``d_values[di, dj]`` is D evaluated at site offset (di, dj); the
     table is real, even under offset negation mod N, and translation
     invariant by construction. The table takes ownership of the array
-    and makes it read-only.
+    and makes it read-only (a view of a writeable array is copied first).
     """
 
     grid: GridSpec
     d_values: np.ndarray
 
     def __post_init__(self):
-        self.d_values.flags.writeable = False
+        object.__setattr__(self, "d_values", _owned(self.d_values))
 
     def d(self, di: int, dj: int) -> float:
         i, j = self.grid.wrap(di, dj)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from latgauge.dynamics import (
+    _GATHER_MAX_N,
     PhaseSpaceState,
     SourceConfig,
     UnstableStep,
@@ -24,7 +25,6 @@ from latgauge.grid import (
     GridSpec,
     ScalarField,
     VectorField,
-    _curl_values,
     _dbar_values,
     curl_z,
     dbar,
@@ -38,10 +38,11 @@ def random_state(grid, seed=0):
 
 
 def slice_force(qx, qy, source, a):
-    """The oracle of the stepper's stacked gathers: the force on the
-    slice stencils of ``grid._dbar_values``. With ``b = dbar_x(qy) -
-    dbar_y(qx)``, ``dp_x = -dbar_y(b) + Jx`` and ``dp_y = +dbar_x(b) + Jy``."""
-    b = _curl_values(qx, qy, a)
+    """The oracle of the stepper's stacked force: the force on the
+    slice stencils of ``grid._dbar_values``, one component at a time.
+    With ``b = dbar_x(qy) - dbar_y(qx)``, ``dp_x = -dbar_y(b) + Jx`` and
+    ``dp_y = +dbar_x(b) + Jy``."""
+    b = _dbar_values(qy, "x", a) - _dbar_values(qx, "y", a)
     fx = -_dbar_values(b, "y", a) + source.jx.values
     fy = _dbar_values(b, "x", a) + source.jy.values
     return fx, fy
@@ -111,10 +112,12 @@ class TestEom:
     )
     @example(n=3, a=0.3, seed=0)
     @example(n=4, a=2.5, seed=1)
+    @example(n=_GATHER_MAX_N, a=0.7, seed=2)  # the largest grid with gathers
+    @example(n=_GATHER_MAX_N + 1, a=0.7, seed=3)  # the smallest on slices
     @settings(max_examples=40, deadline=None)
     def test_force_equals_slice_oracle_bit_for_bit(self, n, a, seed):
-        # random q and nonzero Jx, Jy: the gathered curl, the signed
-        # gathered dbar of b and the added J each keep the slice bits
+        # random q and nonzero Jx, Jy: the curl, the signed dbar of b and
+        # the added J each keep the slice bits, gathered or not
         grid = GridSpec(n, a)
         rng = np.random.default_rng(seed)
         source = random_source(grid, rng)
@@ -302,6 +305,7 @@ class TestTrajectory:
             (8, 1.0, 0.05, 0),
             (3, 1.0, 0.05, 200),  # every site touches a wrapped edge
             (4, 0.7, 0.03, 150),
+            (_GATHER_MAX_N + 1, 1.0, 0.05, 20),  # on slices, not gathers
         ],
     )
     def test_rows_equal_stepwise_oracle(self, n, a, dt, n_steps):

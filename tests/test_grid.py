@@ -219,6 +219,7 @@ class TestFrozenValues:
         from latgauge.spectral import (
             build_kernels,
             dft_forward,
+            dft_inverse,
             kernel_values,
             load_kernels,
             save_kernels,
@@ -253,6 +254,7 @@ class TestFrozenValues:
             "wave_number": wave_number_table(grid)[2],
             "built_d": kernels.d_values,
             "loaded_d": loaded.d_values,
+            "dft_inverse": dft_inverse(dft_forward(f)).values,
             "step_leapfrog": step_leapfrog(state, source, 0.05, 2).q.x.values,
             "eom_rhs": eom_rhs(state, source)[1].y.values,
         }
@@ -266,6 +268,23 @@ class TestFrozenValues:
             assert not values.flags.writeable, name
             # a view of a writeable array could still be changed through it
             assert values.base is None or not values.base.flags.writeable, name
+
+    @pytest.mark.parametrize("kind", ["scalar", "vector", "fourier", "kernel"])
+    def test_views_of_writeable_arrays_are_copied(self, kind):
+        from latgauge.spectral import FourierField, KernelTable
+
+        grid = GridSpec(5, 1.0)
+        big = np.zeros((2, *grid.shape), dtype=complex if kind == "fourier" else float)
+        build = {
+            "scalar": lambda: ScalarField(grid, big[0]).values,
+            "vector": lambda: VectorField.from_arrays(grid, big[0], big[1]).y.values,
+            "fourier": lambda: FourierField(grid, big[0]).modes,
+            "kernel": lambda: KernelTable(grid, big[0]).d_values,
+        }
+        values = build[kind]()
+        big[:, 0, 0] = 1.0
+        assert values[0, 0] == 0.0
+        assert big.flags.writeable  # the caller's array is left as it was
 
     def test_generator_sets_are_frozen(self):
         from dataclasses import FrozenInstanceError

@@ -366,13 +366,13 @@ def _leapfrog_loop(refresh=True, start_scale=1.0):
     left stale after the first step (``refresh=False``) or its start
     force scaled by ``start_scale``."""
 
-    def loop(q, p, j, dt, n_steps, a, stencils):
-        f, _b = dynamics._force(q, j, a, stencils)
+    def loop(q, p, source, dt, n_steps, a, stencils):
+        f, _b = dynamics._force(q, source, a, stencils)
         f = f * start_scale
         for _ in range(n_steps):
             p += 0.5 * dt * f
             q += dt * p
-            g, b = dynamics._force(q, j, a, stencils)
+            g, b = dynamics._force(q, source, a, stencils)
             p += 0.5 * dt * g
             if refresh:
                 f = g
@@ -409,8 +409,8 @@ def test_unwrapped_minus_neighbour_fails_force_oracle(monkeypatch):
 
     def unwrapped(n):
         curl, force, div = stencils(n)
-        for minus_x in (curl[1, 1], force[1, 1], div[1, 0]):
-            minus_x[:, 0] -= n - 1
+        for (_directions, (_plus, minus)), along_x in zip((curl, force, div), (1, 1, 0)):
+            minus[along_x, :, 0] -= n - 1
         return curl, force, div
 
     check = test_dynamics.TestEom.test_force_equals_slice_oracle_bit_for_bit.hypothesis.inner_test
