@@ -502,7 +502,6 @@ def local_generators(region: Region, grid: GridSpec) -> GeneratorSet:
     for site in region.stencil_interior_sites():
         gens.append(b_operator(grid, site))
         labels.append(Label("B", site))
-    # this independence check is the proof that no b admixture is central
     return GeneratorSet(gens, labels)
 
 
@@ -584,12 +583,25 @@ _NULLSPACE_CACHE: dict = {}
 
 def center_dimension(region: Region, grid: GridSpec) -> int:
     """Dimension of the center, ``2M^2 - (M-2)^2``: region p components
-    minus interior crosses, which ``local_generators`` proves
-    independent. Memoized in ``_NULLSPACE_CACHE``."""
+    minus interior crosses. The p generators are unit rows in distinct
+    columns, so the count holds once the crosses are proven exactly
+    independent; that proof is one elimination of their rows. Memoized
+    in ``_NULLSPACE_CACHE``.
+
+    Raises
+    ------
+    AssertionError
+        If the interior crosses are linearly dependent.
+    """
     key = (region, grid)
     if key not in _NULLSPACE_CACHE:
-        kinds = [label.kind for label in local_generators(region, grid).labels]
-        _NULLSPACE_CACHE[key] = kinds.count("P") - kinds.count("B")
+        region.validate_on(grid)
+        span = _SparseRref()
+        for site in region.stencil_interior_sites():
+            if not span.insert(_row(b_operator(grid, site))):
+                raise AssertionError(f"the interior cross at {site} depends on the others")
+        m = region.size
+        _NULLSPACE_CACHE[key] = 2 * m * m - (m - 2) ** 2
     return _NULLSPACE_CACHE[key]
 
 

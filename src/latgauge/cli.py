@@ -9,6 +9,7 @@ then ~/.cache/latgauge.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -131,7 +132,9 @@ _CHECKS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="latgauge",
         description="2D periodic lattice gauge toy model experiments",

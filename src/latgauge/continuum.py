@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy import integrate
 
 from .grid import GridSpec
 from .spectral import build_kernels, kernel_values
@@ -167,22 +166,36 @@ def bz_d_difference(r1: int, r2: int) -> float:
     Finite only when r1 and r2 share parity; the doubler corners make
     mixed-parity differences diverge, which is the content of the parity
     restriction on the d_log law.
+
+    The inner integral is elementary, ``int_0^pi dt / (A + sin^2 t) =
+    pi / sqrt(A (1 + A))``, which leaves
+
+    ``(1/pi) int_0^pi [cos(r1 t) - cos(r2 t)] / (sin t sqrt(1 + sin^2 t)) dt``.
+
+    Under ``t -> pi - t`` the integrand picks up the sign ``(-1)^r1``: for
+    two odd separations it is odd about pi/2 and the integral is exactly
+    0, and for two even ones it is twice the integral over [0, pi/2].
+    There the numerator's double zero at 0 cancels ``sin t``, the
+    integrand is analytic out to ``Im t = asinh 1``, and Gauss-Legendre
+    converges geometrically once the nodes resolve ``cos(r t)``
+    (L. N. Trefethen, SIAM Rev. 50, 67 (2008)).
     """
     if (r1 - r2) % 2 != 0:
         raise ValueError(
             "mixed-parity separations have no finite large-N limit "
             "(doubler corners of the sine dispersion)"
         )
+    if r1 % 2:
+        return 0.0
+    # cos(r t) makes r/4 turns on [0, pi/2]; 64 fixed nodes err by 0.4 at r = 250
+    return _half_zone_integral(r1, r2, 64 + max(abs(r1), abs(r2)) // 2)
 
-    def integrand(ty, tx):
-        num = np.cos(r1 * tx) - np.cos(r2 * tx)
-        den = np.sin(tx) ** 2 + np.sin(ty) ** 2
-        if den < 1e-300:
-            return 0.0  # removable: numerator vanishes to matching order
-        return num / den
 
-    # cosine symmetry folds the full zone onto [0, pi]^2
-    value, _err = integrate.dblquad(
-        integrand, 0.0, np.pi, 0.0, np.pi, epsabs=1e-11, epsrel=1e-11
-    )
-    return 4.0 * value / (2.0 * np.pi) ** 2
+def _half_zone_integral(r1: int, r2: int, nodes: int) -> float:
+    """``(2/pi) int_0^{pi/2} [cos(r1 t) - cos(r2 t)] / (sin t sqrt(1 +
+    sin^2 t)) dt`` on ``nodes`` Gauss-Legendre nodes."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    t = 0.25 * np.pi * (x + 1.0)
+    s = np.sin(t)
+    f = (np.cos(r1 * t) - np.cos(r2 * t)) / (s * np.sqrt(1.0 + s * s))
+    return 0.5 * float(w @ f)

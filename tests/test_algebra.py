@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latgauge import algebra
 from latgauge.algebra import (
     GeneratorSet,
     LinearOperator,
@@ -258,6 +259,30 @@ class TestCenter:
         region = Region((1, 1), m)
         basis = center_basis(region, grid)
         assert len(basis.generators) == 2 * m * m - (m - 2) ** 2
+
+
+def literal_center_dimension(region, grid):
+    """The count ``center_dimension`` replaces: p generators minus
+    magnetic crosses among ``local_generators``, whose construction
+    proves all of them independent."""
+    kinds = [label.kind for label in local_generators(region, grid).labels]
+    return kinds.count("P") - kinds.count("B")
+
+
+class TestCenterDimension:
+    @pytest.mark.parametrize("m", range(3, 9))
+    @pytest.mark.parametrize("extra", [1, 2], ids=["n=m+1", "n=m+2"])
+    def test_matches_the_literal_count(self, m, extra, monkeypatch):
+        # one N of each parity per M
+        monkeypatch.setattr(algebra, "_NULLSPACE_CACHE", {})
+        grid = GridSpec(m + extra, 1.0)
+        region = Region((extra - 1, 0), m)
+        assert center_dimension(region, grid) == literal_center_dimension(region, grid)
+
+    def test_region_off_the_grid_rejected(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_NULLSPACE_CACHE", {})
+        with pytest.raises(ValueError, match="does not fit"):
+            center_dimension(Region((8, 8), 5), GridSpec(11, 1.0))
 
 
 class TestCenterOracle:

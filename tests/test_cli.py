@@ -71,6 +71,49 @@ class TestParsing:
         assert "bad integer" in capsys.readouterr().err
 
 
+class TestOneParser:
+    """``_build_parser`` builds one parser per process, and parsing with
+    it twice gives what two fresh parsers would."""
+
+    def test_two_calls_build_one_parser(self, tmp_path):
+        cli._build_parser.cache_clear()
+        argv = ["continuum", "--check", "kvec", "--n-list", "20,40", "--fraction", "0.05"]
+        for name in ("a.csv", "b.csv"):
+            assert run(argv + ["--out", str(tmp_path / name)], tmp_path) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_no_default_leaks_between_calls(self):
+        assert parse_args(["--seed", "7", "--cache-dir", "/tmp/k", "selftest"]).seed == 7
+        cfg = parse_args(["selftest"])
+        assert cfg.seed == 0 and cfg.criteria is None
+        assert cfg.cache_dir == cli._default_cache_dir()
+
+    def test_malformed_sites_after_a_good_call(self, tmp_path, capsys):
+        argv = ["fme", "--n", "25", "--sites", "12,7:12;17", "--tau", "1"]
+        cli._build_parser.cache_clear()
+        assert run(argv, tmp_path) == 2
+        fresh = capsys.readouterr().err
+        assert run(["fme", "--n", "25", "--sites", "12,7:12,17", "--tau", "1"], tmp_path) == 0
+        capsys.readouterr()
+        assert run(argv, tmp_path) == 2
+        assert capsys.readouterr().err == fresh
+        assert fresh.startswith("error: bad site")
+
+    def test_missing_subcommand_after_a_good_call(self, capsys):
+        cli._build_parser.cache_clear()
+        with pytest.raises(UsageError, match="missing subcommand"):
+            parse_args([])
+        fresh = capsys.readouterr().err
+        parse_args(["selftest"])
+        for _ in range(2):
+            with pytest.raises(UsageError, match="missing subcommand"):
+                parse_args([])
+            assert capsys.readouterr().err == fresh
+        assert fresh.startswith("usage: latgauge")
+        assert main([]) == 2
+
+
 class TestParseSweep:
     @given(
         start=st.floats(-100, 100),

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
 from latgauge import acceptance, continuum
 from latgauge.continuum import (
     ConvergenceSeries,
+    _half_zone_integral,
     bz_d_difference,
     continuum_log_coefficient,
     d_log_check,
@@ -14,6 +18,59 @@ from latgauge.continuum import (
 )
 
 N_LIST = [51, 101, 201]
+
+
+def dblquad_d_difference(r1, r2):
+    """The Brillouin-zone integral ``bz_d_difference`` reduces to one
+    dimension, done literally: adaptive 2D quadrature of
+    ``[cos(r1 tx) - cos(r2 tx)] / (sin^2 tx + sin^2 ty)`` over the zone."""
+
+    def integrand(ty, tx):
+        num = np.cos(r1 * tx) - np.cos(r2 * tx)
+        den = np.sin(tx) ** 2 + np.sin(ty) ** 2
+        if den < 1e-300:
+            return 0.0  # removable: numerator vanishes to matching order
+        return num / den
+
+    # cosine symmetry folds the full zone onto [0, pi]^2
+    value, _err = integrate.dblquad(
+        integrand, 0.0, np.pi, 0.0, np.pi, epsabs=1e-11, epsrel=1e-11
+    )
+    return 4.0 * value / (2.0 * np.pi) ** 2
+
+
+@st.composite
+def equal_parity_pairs(draw, top=60):
+    r2 = draw(st.integers(2, top))
+    r1 = draw(st.integers(1, r2 - 1).filter(lambda r: (r2 - r) % 2 == 0))
+    return r1, r2
+
+
+class TestBrillouinZoneOracle:
+    @given(pair=equal_parity_pairs())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_dblquad(self, pair):
+        assert bz_d_difference(*pair) == pytest.approx(dblquad_d_difference(*pair), abs=1e-12)
+
+    @pytest.mark.parametrize("pair", [(2, 4), (4, 8), (20, 24), (20, 16), (40, 44), (2, 60), (58, 60)])
+    def test_doubling_the_nodes_moves_nothing(self, pair):
+        doubled = _half_zone_integral(*pair, 128)
+        assert _half_zone_integral(*pair, 64) == pytest.approx(doubled, abs=1e-13)
+        assert bz_d_difference(*pair) == pytest.approx(doubled, abs=1e-13)
+
+    @pytest.mark.parametrize("pair", [(2, 250), (100, 1000), (998, 1000)])
+    def test_nodes_grow_with_the_separation(self, pair):
+        # 64 nodes no longer resolve cos(r t) here (errors of 0.4 and
+        # more); 1e-11 is the rounding of numpy's nodes at a thousand
+        assert bz_d_difference(*pair) == pytest.approx(_half_zone_integral(*pair, 1200), abs=1e-11)
+
+    @given(pair=equal_parity_pairs(top=2000).filter(lambda pair: pair[0] % 2))
+    def test_odd_pairs_vanish(self, pair):
+        """Two odd separations give 0: under ``t -> pi - t`` the integrand
+        ``[cos(r1 t) - cos(r2 t)] / (sin t sqrt(1 + sin^2 t))`` changes sign
+        with ``(-1)^r1``, so it is odd about pi/2 and the integral over
+        [0, pi] is exactly 0."""
+        assert abs(bz_d_difference(*pair)) < 1e-14
 
 
 class TestGScaling:

@@ -7,6 +7,7 @@ does not collect their tests a second time here.
 """
 
 import re
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ import test_fme
 import test_gaussian
 import test_grid
 import test_spectral
+import test_surface
 from latgauge import acceptance, algebra, cli, dynamics, fme, gaussian, spectral
 from latgauge.algebra import Label, Region
 from latgauge.grid import GridSpec, ScalarField
@@ -339,6 +341,28 @@ def test_center_dimension_off_by_one_fails_size_check(monkeypatch):
     monkeypatch.setattr(algebra, "center_dimension", lambda region, grid: dimension(region, grid) + 1)
     with pytest.raises(AssertionError, match="center dimensions"):
         algebra.center_basis(Region((2, 2), 6), GridSpec(11, 1.0))
+
+
+def test_repeated_interior_cross_fails_independence_check(monkeypatch):
+    region = Region((2, 2), 5)
+    first, second = region.stencil_interior_sites()[:2]
+    cross = algebra.b_operator
+    monkeypatch.setattr(algebra, "b_operator", lambda grid, site: cross(grid, first if site == second else site))
+    monkeypatch.setattr(algebra, "_NULLSPACE_CACHE", {})
+    with pytest.raises(AssertionError, match="depends on the others"):
+        algebra.center_dimension(region, GridSpec(11, 1.0))
+
+
+def test_scipy_at_module_top_fails_import_guard(monkeypatch, tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(test_surface.SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    continuum = src / "latgauge" / "continuum.py"
+    text = continuum.read_text()
+    assert "import numpy as np\n" in text
+    continuum.write_text(text.replace("import numpy as np\n", "import numpy as np\nimport scipy\n", 1))
+    monkeypatch.setattr(test_surface, "SRC", src)
+    with pytest.raises(AssertionError, match="scipy"):
+        test_surface.test_import_leaves_scipy_out("latgauge.cli")
 
 
 def test_skipped_cross_commutators_fail_non_member_test(monkeypatch):

@@ -2,15 +2,19 @@
 class other than an exception is a frozen dataclass, every function the
 benchmark's layer trace wraps still exists and records calls on a traced
 op, every argv the benchmark generates or README.md shows still parses,
-and every function in the package reads each of its parameters."""
+every function in the package reads each of its parameters, and
+importing the package leaves scipy out."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import os
 import pkgutil
 import random
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +28,7 @@ MODULES = sorted(
 
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _load_perfbench(name):
@@ -155,3 +160,17 @@ def test_every_parameter_is_read(path):
     # a parameter no body reads is a dead knob: every caller must pass
     # it, and nothing it says reaches the result
     assert _unread_parameters(path) == []
+
+
+@pytest.mark.parametrize("module_name", ["latgauge", "latgauge.cli"])
+def test_import_leaves_scipy_out(module_name):
+    # scipy is a test dependency only: importing it costs every run
+    # about 0.4 s and 45 MiB, in a fresh process as every run is
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module_name}; print(sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    modules = ast.literal_eval(done.stdout)
+    assert module_name in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
