@@ -1,5 +1,6 @@
 """Hamiltonian, equations of motion, leapfrog stepping, and gauge moves."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from latgauge.dynamics import (
+    _BLOCK_SITES,
     _GATHER_MAX_N,
     PhaseSpaceState,
     SourceConfig,
     UnstableStep,
+    _check_drift,
     constraint_residual,
     energy,
     eom_rhs,
@@ -280,7 +283,8 @@ class TestLeapfrog:
 
 def stepwise_rows(state, source, dt, n_steps):
     """The oracle of ``trajectory``: one ``step_leapfrog`` step at a time,
-    then ``energy`` and the Gauss residual of the new state."""
+    then ``energy`` and the Gauss residual of the new state, yielded as
+    each step is taken."""
 
     def row(state):
         return (
@@ -289,11 +293,29 @@ def stepwise_rows(state, source, dt, n_steps):
             constraint_residual(state, source).max_abs(),
         )
 
-    rows = [row(state)]
+    yield row(state)
     for _ in range(n_steps):
         state = step_leapfrog(state, source, dt, 1, energy_check=False)
-        rows.append(row(state))
-    return rows
+        yield row(state)
+
+
+def first_drift(state, source, dt, n_steps):
+    """``(step, message)`` of the first row of ``stepwise_rows`` whose H
+    fails ``_check_drift``, or None; no step past it is taken."""
+    rows = stepwise_rows(state, source, dt, n_steps)
+    _t, h0, _residual = next(rows)
+    for step, (_t, h, _residual) in enumerate(rows, start=1):
+        try:
+            _check_drift(h0, h, step)
+        except UnstableStep as exc:
+            return step, str(exc)
+    return None
+
+
+# blocks of trajectory: a ramp of 1, 2, 4, ... steps up to the cap, so at
+# N = 16 the step after the ramp's last block is one past a boundary
+CAP_16 = _BLOCK_SITES // 16**2
+ONE_STEP_BLOCKS_N = math.isqrt(_BLOCK_SITES) + 1
 
 
 class TestTrajectory:
@@ -306,6 +328,9 @@ class TestTrajectory:
             (3, 1.0, 0.05, 200),  # every site touches a wrapped edge
             (4, 0.7, 0.03, 150),
             (_GATHER_MAX_N + 1, 1.0, 0.05, 20),  # on slices, not gathers
+            (16, 1.0, 0.05, 1000),  # the benchmark's run: many capped blocks
+            (16, 0.7, 0.03, 2 * CAP_16),  # one past the ramp's last block
+            (ONE_STEP_BLOCKS_N, 1.0, 0.05, 5),  # every block one step
         ],
     )
     def test_rows_equal_stepwise_oracle(self, n, a, dt, n_steps):
@@ -320,7 +345,7 @@ class TestTrajectory:
         rows = list(trajectory(state, source, dt, n_steps))
         assert len(rows) == n_steps + 1
         assert all(type(x) is float for r in rows for x in r)
-        assert rows == stepwise_rows(state, source, dt, n_steps)
+        assert rows == list(stepwise_rows(state, source, dt, n_steps))
 
     def test_one_force_per_step(self, monkeypatch):
         import latgauge.dynamics as dynamics
@@ -333,14 +358,26 @@ class TestTrajectory:
         assert len(list(rows)) == 8
         assert len(calls) == 8  # the start force, then one per step
 
-    def test_drift_raises_from_the_generator(self):
-        # the first step overflows H by five orders of magnitude; the
-        # check stops the run before anything overflows to inf or nan
-        grid = GridSpec(4, 1.0)
-        rows = trajectory(random_state(grid, 0), SourceConfig.vacuum(grid), 10.0, 400)
-        assert len(next(rows)) == 3
-        with np.errstate(all="raise"), pytest.raises(UnstableStep, match="over 1 steps"):
-            next(rows)
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("dt", [0.71, 0.8, 0.86, 0.92, 10.0, 1e4, 1e6])
+    def test_drift_raises_from_the_generator(self, n, dt):
+        # the run stops at the oracle's first drifting row, with its
+        # message, before any float error: from dt = 10 on that is step 1,
+        # whose H is five or more orders of magnitude off; at N = 16,
+        # dt = 0.86 and 0.92 drift at steps 163 and 11, and 0.71 and 0.8
+        # never do
+        grid = GridSpec(n, 1.0)
+        state, source, n_steps = random_state(grid, 0), SourceConfig.vacuum(grid), 400
+        rows = []
+        with np.errstate(all="raise"):
+            want = first_drift(state, source, dt, n_steps)
+            try:
+                for row in trajectory(state, source, dt, n_steps):
+                    rows.append(row)
+            except UnstableStep as exc:
+                assert (len(rows), str(exc)) == want
+            else:
+                assert want is None and len(rows) == n_steps + 1
 
     @pytest.mark.parametrize("dt, n_steps", [(float("nan"), 1), (0.0, 1), (0.1, -1)])
     def test_rejects_bad_arguments(self, dt, n_steps):
@@ -348,6 +385,27 @@ class TestTrajectory:
         rows = trajectory(PhaseSpaceState.zero(grid), SourceConfig.vacuum(grid), dt, n_steps)
         with pytest.raises(ValueError):
             next(rows)
+
+
+class TestSourceOnAnotherGrid:
+    ENTRY_POINTS = {
+        "energy": energy,
+        "eom_rhs": eom_rhs,
+        "step_leapfrog": lambda state, source: step_leapfrog(state, source, 0.05, 1),
+        "trajectory": lambda state, source: next(trajectory(state, source, 0.05, 1)),
+        "constraint_residual": constraint_residual,
+    }
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "other", [GridSpec(8, 0.5), GridSpec(9, 1.0)], ids=["other-spacing", "other-n"]
+    )
+    def test_rejected(self, name, other):
+        # the same N with another spacing would broadcast silently, and
+        # another N would fail only inside numpy
+        state = random_state(GridSpec(8, 1.0))
+        with pytest.raises(ValueError, match="source lives on"):
+            self.ENTRY_POINTS[name](state, SourceConfig.vacuum(other))
 
 
 class TestConstraintResidual:

@@ -18,6 +18,7 @@ import test_cli
 import test_dynamics
 import test_fme
 import test_gaussian
+import test_golden
 import test_grid
 import test_spectral
 import test_surface
@@ -390,17 +391,18 @@ def _leapfrog_loop(refresh=True, start_scale=1.0):
     left stale after the first step (``refresh=False``) or its start
     force scaled by ``start_scale``."""
 
-    def loop(q, p, source, dt, n_steps, a, stencils):
+    def loop(q, p, source, dt, a, stencils, slots):
         f, _b = dynamics._force(q, source, a, stencils)
         f = f * start_scale
-        for _ in range(n_steps):
-            p += 0.5 * dt * f
-            q += dt * p
-            g, b = dynamics._force(q, source, a, stencils)
-            p += 0.5 * dt * g
+        for q_next, p_next, b in slots:
+            p_next[...] = p + 0.5 * dt * f
+            q_next[...] = q + dt * p_next
+            g, _b = dynamics._force(q_next, source, a, stencils, b)
+            p_next += 0.5 * dt * g
             if refresh:
                 f = g
-            yield b
+            q, p = q_next, p_next
+            yield
 
     return loop
 
@@ -426,6 +428,21 @@ def test_leapfrog_force_mutant_fails_stepwise_oracle(monkeypatch, mutant, caught
         _rows_equal_stepwise_oracle()
 
 
+def test_blocks_at_the_cap_from_the_start_fail_unstable_run_test(monkeypatch):
+    # without the ramp the first block at N = 4 runs 256 steps of dt = 10,
+    # and H overflows before the drift check reads step 1
+    def at_the_cap(n_steps, cap):
+        while n_steps > 0:
+            yield min(cap, n_steps)
+            n_steps -= cap
+
+    check = test_dynamics.TestTrajectory().test_drift_raises_from_the_generator
+    check(4, 10.0)
+    monkeypatch.setattr(dynamics, "_block_sizes", at_the_cap)
+    with pytest.raises(FloatingPointError):
+        check(4, 10.0)
+
+
 def test_unwrapped_minus_neighbour_fails_force_oracle(monkeypatch):
     # the x minus-neighbour of column j is max(j - 1, 0): column 0 reads
     # itself, not column N - 1, in every stencil along x
@@ -444,15 +461,14 @@ def test_unwrapped_minus_neighbour_fails_force_oracle(monkeypatch):
         check(test_dynamics.TestEom(), n=5, a=0.7, seed=0)
 
 
+def _time_from_step_count(state, source, dt, n_steps):
+    for step, (_t, h, residual) in enumerate(dynamics.trajectory(state, source, dt, n_steps)):
+        yield state.time + dt * step, h, residual
+
+
 def test_time_from_step_count_fails_stepwise_oracle(monkeypatch):
     # t = time + dt * step rounds differently from adding dt once a step
-    trajectory = dynamics.trajectory
-
-    def time_from_step(state, source, dt, n_steps):
-        for step, (_t, h, residual) in enumerate(trajectory(state, source, dt, n_steps)):
-            yield state.time + dt * step, h, residual
-
-    monkeypatch.setattr(test_dynamics, "trajectory", time_from_step)
+    monkeypatch.setattr(test_dynamics, "trajectory", _time_from_step_count)
     with pytest.raises(AssertionError):
         _rows_equal_stepwise_oracle()
 
@@ -470,3 +486,18 @@ def test_reciprocal_dbar_fails_roll_oracle(monkeypatch):
     )
     with pytest.raises(AssertionError):
         check(test_grid.TestDbarStencil(), values=values, direction="x", spacing=0.7)
+
+
+@pytest.mark.parametrize(
+    "name, mutant",
+    [("_float_csv", lambda x: "%.17g" % x), ("trajectory", _time_from_step_count)],
+    ids=["csv-17g", "time-from-step-count"],
+)
+def test_output_mutant_fails_golden_corpus(monkeypatch, tmp_path, name, mutant):
+    # 17 significant digits round-trip too, but are not repr's shortest
+    # string; t = time + dt * step rounds differently from adding dt
+    (case,) = (c for c in test_golden.MANIFEST["cases"] if c["name"] == "dynamics-n16-a1.0-seed0")
+    test_golden.test_case_replays_byte_for_byte(case, tmp_path)
+    monkeypatch.setattr(cli, name, mutant)
+    with pytest.raises(AssertionError, match="case dynamics-n16-a1.0-seed0: file is"):
+        test_golden.test_case_replays_byte_for_byte(case, tmp_path)
