@@ -14,7 +14,8 @@ import json
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from itertools import chain
 
 import numpy as np
 
@@ -220,14 +221,32 @@ def _float_csv(x: float) -> str:
     return repr(float(x))
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write ``text`` as ASCII with ``\\n`` line endings to ``path``, or
-    to stdout when ``path`` is None."""
+def _write(path: str | None, chunks) -> None:
+    """Write the text ``chunks`` as ASCII with ``\\n`` line endings to
+    ``path``, or to stdout when ``path`` is None. The one owner of the
+    no-partial-file rule: a new or regular file gets the chunks as they
+    come, into a file beside it that replaces ``path`` after the last
+    chunk and is removed on any exception. Stdout, a symlink (kept) and a
+    file that is not regular, such as a FIFO or a device, get the text
+    once it is complete."""
     if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+        sys.stdout.write("".join(chunks))
+    elif os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
+        text = "".join(chunks)  # complete before the open truncates the target
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+    else:
+        tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException as exc:
+            if isinstance(exc, OSError) and exc.filename == tmp:
+                exc.filename = path  # report the target, not the file beside it
+            with suppress(OSError):
+                os.remove(tmp)
+            raise
 
 
 def _cmd_dynamics(ns: argparse.Namespace) -> int:
@@ -239,13 +258,13 @@ def _cmd_dynamics(ns: argparse.Namespace) -> int:
     rng = np.random.default_rng(ns.seed)
     state = PhaseSpaceState.random(grid, rng)
     source = SourceConfig.vacuum(grid)
-    # rows are kept until the last step passes the drift check, so a
-    # failed run leaves no file
-    rows = ["t,H,max_constraint_residual\n"] + [
+    rows = (
         f"{_float_csv(t)},{_float_csv(h)},{_float_csv(res)}\n"
         for t, h, res in trajectory(state, source, ns.dt, ns.steps)
-    ]
-    _write(ns.out, "".join(rows))
+    )
+    # a step that overflows fails the drift check, reported in one line
+    with np.errstate(over="ignore", invalid="ignore"):
+        _write(ns.out, chain(["t,H,max_constraint_residual\n"], rows))
     return 0
 
 
@@ -267,7 +286,7 @@ def _cmd_coulomb(ns: argparse.Namespace) -> int:
         di, dj = grid.wrap(i2 - i1, j2 - j1)
         result["pair_distance"] = float(np.hypot(min(di, grid.n - di), min(dj, grid.n - dj)))
         result["D_of_d"] = kernels.d(i2 - i1, j2 - j1)
-    _write(ns.out, json.dumps(result, indent=2) + "\n")
+    _write(ns.out, [json.dumps(result, indent=2) + "\n"])
     return 0
 
 
@@ -282,13 +301,11 @@ def _cmd_fme(ns: argparse.Namespace) -> int:
         ok = embezzlement_null_test(spec, kernels)
         print(f"embezzlement null test: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
-    # each trace becomes its row as it arrives and only the rows are
-    # kept, until the last tau, so a failed run leaves no file
-    rows = ["tau,phi_LL,phi_LR,phi_RL,phi_RR,entropy\n"]
-    for tau, trace in zip(spec.taus, run_protocol(spec, kernels)):
-        fields = (tau, *(trace.phases[b] for b in BRANCHES), trace.h_sigma_a)
-        rows.append(",".join(map(_float_csv, fields)) + "\n")
-    _write(ns.out, "".join(rows))
+    rows = (
+        ",".join(map(_float_csv, (tau, *(trace.phases[b] for b in BRANCHES), trace.h_sigma_a))) + "\n"
+        for tau, trace in zip(spec.taus, run_protocol(spec, kernels))
+    )
+    _write(ns.out, chain(["tau,phi_LL,phi_LR,phi_RL,phi_RR,entropy\n"], rows))
     return 0
 
 
@@ -322,7 +339,7 @@ def _cmd_algebra(ns: argparse.Namespace) -> int:
             for op, label in zip(basis.generators, basis.labels)
         ],
     }
-    _write(ns.dump, json.dumps(doc, indent=2) + "\n")
+    _write(ns.dump, [json.dumps(doc, indent=2) + "\n"])
     return 0
 
 
@@ -345,7 +362,7 @@ def _cmd_continuum(ns: argparse.Namespace) -> int:
     for prefix, label, series in produced:
         lines += [f"{prefix}{n},{_float_csv(v)}" for n, v in zip(series.n_values, series.values)]
         print(f"{label}estimate {series.fit['estimate']!r} rate {series.fit['rate']!r}")
-    _write(ns.out, "\n".join(lines) + "\n")
+    _write(ns.out, ["\n".join(lines) + "\n"])
     return 0
 
 

@@ -155,20 +155,14 @@ def _unit_proof(kernels: KernelTable) -> tuple[float, float]:
     """``(r0, max|P|)`` of the unit-charge background ``P = dbar D``, which
     is ``coulomb_momentum(delta_0)`` read straight off the table, with
     ``r0 = gauss_residual(P, delta_0)``; no delta field is scanned and no
-    ``NonNeutralWarning`` raised. Computed once per table and kept on it;
-    P itself is dropped."""
-    proof = kernels.__dict__.get("_unit_proof")
-    if proof is None:
-        grid = kernels.grid
-        d = ScalarField(grid, kernels.d_values)  # the read-only table, not a copy
-        p = VectorField(dbar(d, "x"), dbar(d, "y"))
-        unit = np.zeros(grid.shape)
-        unit[0, 0] = 1.0
-        p_max = max(max(c.values.max(), -c.values.min()) for c in (p.x, p.y))
-        proof = (gauss_residual(p, ScalarField(grid, unit)), float(p_max))
-        # a derived constant of the immutable table, not a change of its value
-        object.__setattr__(kernels, "_unit_proof", proof)
-    return proof
+    ``NonNeutralWarning`` raised. P itself is dropped."""
+    grid = kernels.grid
+    d = ScalarField(grid, kernels.d_values)  # the read-only table, not a copy
+    p = VectorField(dbar(d, "x"), dbar(d, "y"))
+    unit = np.zeros(grid.shape)
+    unit[0, 0] = 1.0
+    p_max = max(max(c.values.max(), -c.values.min()) for c in (p.x, p.y))
+    return gauss_residual(p, ScalarField(grid, unit)), float(p_max)
 
 
 def gauss_bound(charges, kernels: KernelTable) -> float:

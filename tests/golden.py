@@ -40,6 +40,15 @@ def _dynamics(n: int, a: float, seed: int, dt: float = 0.05, steps: int = 300):
     ]
 
 
+def _cmd(*args: str, out: str | None = "--out"):
+    """A non-``dynamics`` argv: ``args`` with ``out`` naming the written
+    file (None for a run that writes no file)."""
+    return ["--cache-dir", "{cache}", *args, *((out, "{out}") if out else ())]
+
+
+# one pair of sites on one row per lattice size
+_FME_SITES = {25: "12,7:12,17", 40: "20,12:20,28", 41: "20,12:20,28", 101: "50,40:50,60"}
+
 CASES = {
     **{
         f"dynamics-n{n}-a{a}-seed{seed}": _dynamics(n, a, seed)
@@ -55,6 +64,46 @@ CASES = {
     "dynamics-unstable-n4-dt0.56": _dynamics(4, 1.0, 0, dt=0.56),
     "dynamics-unstable-n16-dt0.86": _dynamics(16, 1.0, 0, dt=0.86),
     "dynamics-negative-seed": _dynamics(16, 1.0, -1),  # exit 2
+    **{
+        f"fme-n{n}-tau{tau}": _cmd("fme", "--n", str(n), "--sites", sites, "--tau", tau)
+        for n, sites in _FME_SITES.items()
+        for tau in ("0.0", "3.0")
+    },
+    **{
+        f"fme-n{n}-sweep": _cmd("fme", "--n", str(n), "--sites", sites, "--sweep-tau", "0:100:12.5")
+        for n, sites in _FME_SITES.items()
+    },
+    "fme-n41-sweep-region9": _cmd(
+        "fme", "--n", "41", "--sites", "20,12:20,28", "--region-size", "9", "--sweep-tau", "0:2:0.25"
+    ),
+    **{
+        f"fme-n{n}-null-test": _cmd("fme", "--n", str(n), "--sites", _FME_SITES[n], "--null-test", out=None)
+        for n in (25, 101)
+    },
+    "fme-n25-stdout": _cmd("fme", "--n", "25", "--sites", "12,7:12,17", "--sweep-tau", "0:3:1", out=None),
+    "coulomb-n31-two": _cmd("coulomb", "--n", "31", "--charges", "15,10;15,20"),
+    "coulomb-n40-two": _cmd("coulomb", "--n", "40", "--charges", "0,0;0,38"),
+    "coulomb-n31-three": _cmd("coulomb", "--n", "31", "--charges", "15,10;15,20;3,4"),
+    **{
+        f"algebra-n{n}-m{m}": _cmd("algebra", "--n", str(n), "--region", f"2,3,{m}", out="--dump")
+        for n in (11, 12)
+        for m in (3, 4, 5, 6)
+    },
+    "continuum-d-log": _cmd("continuum", "--check", "d-log", "--n-list", "21,41", "--pairs", "2,4;1,2"),
+    "continuum-g-scaling": _cmd("continuum", "--check", "g-scaling", "--n-list", "21,41", "--r", "3"),
+    "continuum-kvec": _cmd("continuum", "--check", "kvec", "--n-list", "20,40,80", "--fraction", "0.05"),
+    # exit 1: a phase that overflows, a spacing whose table is unusable,
+    # and a sweep whose sixth phase overflows after five good rows
+    "fme-tau-1e308": _cmd("fme", "--n", "25", "--sites", "12,7:12,17", "--tau", "1e308"),
+    "fme-a-1e300": _cmd("fme", "--n", "101", "--sites", "50,40:50,60", "--a", "1e300"),
+    "fme-sweep-overflow": _cmd("fme", "--n", "101", "--sites", "50,40:50,60", "--sweep-tau", "0:1e308:1e307"),
+    # exit 2
+    "algebra-whole-torus": _cmd("algebra", "--n", "4", "--region", "0,0,4", out="--dump"),
+    "fme-malformed-sites": _cmd("fme", "--n", "25", "--sites", "12,7:12"),
+    "fme-sweep-too-long": _cmd("fme", "--n", "25", "--sites", "12,7:12,17", "--sweep-tau", "0:1000000:1"),
+    # exit 1: a step that overflows, with one error line and no numpy warning
+    "dynamics-overflow-dt1e100": _dynamics(16, 1.0, 0, dt=1e100, steps=5),
+    "dynamics-overflow-a1e-300": _dynamics(16, 1e-300, 0, steps=5),
 }
 
 
@@ -65,13 +114,16 @@ def _digest(data: bytes) -> dict:
 def run_case(argv: list[str], workdir: Path) -> dict:
     """Run one argv template through ``cli.main`` in ``workdir``: the
     exit code and the digests of the written file (None when no file is
-    left), stdout and stderr."""
+    left), stdout and stderr. The run may leave nothing in ``workdir``
+    but its output and its kernel cache."""
     out = workdir / "out"
     out.unlink(missing_ok=True)
     argv = [arg.format(out=out, cache=workdir / "cache") for arg in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
+    left = sorted(path.name for path in workdir.iterdir() if path.name not in ("out", "cache"))
+    assert not left, f"the run left {left} beside its output"
     return {
         "exit": code,
         "file": _digest(out.read_bytes()) if out.exists() else None,

@@ -1,6 +1,10 @@
 """Command-line surface: parsing, outputs, determinism, caching."""
 
+import errno
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -406,6 +410,22 @@ class TestOverflow:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--dt", "1e100"], "error: energy drifted from 3.481904e+02 to inf over 1 steps\n"),
+            (["--a", "1e-300", "--dt", "0.05"], "error: energy drifted from inf to nan over 1 steps\n"),
+        ],
+        ids=["dt-1e100", "a-1e-300"],
+    )
+    def test_overflowing_dynamics_prints_one_line(self, tmp_path, capsys, argv, message):
+        # the drift check reports the overflow; numpy warns of nothing
+        out = tmp_path / "traj.csv"
+        code = run(["dynamics", "--n", "16", *argv, "--steps", "5", "--out", str(out)], tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     def test_unstable_dynamics(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
         with np.errstate(all="raise"):
@@ -419,6 +439,117 @@ class TestOverflow:
         err = capsys.readouterr().err
         assert err.startswith("error: energy drifted") and err.count("\n") == 1
         assert not out.exists()
+
+
+# runs that fail after their first rows: the energy drifts past 1% at
+# row 163, and the sixth phase overflows after five good rows
+_FAILING_RUNS = {
+    "dynamics": ["dynamics", "--n", "16", "--dt", "0.86", "--steps", "300"],
+    "fme-sweep": ["fme", "--n", "101", "--sites", "50,40:50,60", "--sweep-tau", "0:1e308:1e307"],
+}
+_SHORT_RUN = ["dynamics", "--n", "8", "--dt", "0.05", "--steps", "20"]
+
+
+def _listing(directory):
+    """Every file in ``directory`` with its bytes."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+class _FullDisk:
+    """A text file that takes one chunk, then reports a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.fh.write(text)
+        self.fh.flush()
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+class TestOneWriter:
+    """``cli._write`` owns the no-partial-file rule: rows stream into a
+    file beside ``--out`` that replaces it only after the last row, and
+    targets that cannot be swapped get the complete text."""
+
+    @pytest.mark.parametrize("older", [None, b"older rows\n"], ids=["no-file", "older-file"])
+    @pytest.mark.parametrize("name", list(_FAILING_RUNS))
+    def test_failed_run_leaves_the_directory_as_it_was(self, tmp_path, capsys, name, older):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        out = runs / "out.csv"
+        if older is not None:
+            out.write_bytes(older)
+        before = _listing(runs)
+        assert run([*_FAILING_RUNS[name], "--out", str(out)], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert _listing(runs) == before
+
+    def test_write_error_after_the_first_chunk_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        monkeypatch.setattr(cli, "open", lambda *args, **kw: _FullDisk(open(*args, **kw)), raising=False)
+        assert run([*_SHORT_RUN, "--out", str(runs / "out.csv")], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno {errno.ENOSPC}] No space left on device\n"
+        assert _listing(runs) == {}
+
+    def test_missing_directory_names_the_target(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        assert run([*_SHORT_RUN, "--out", str(out)], tmp_path) == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+    def test_interrupt_leaves_an_older_file_as_it_was(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"older rows\n")
+
+        def chunks():
+            yield "t,H,max_constraint_residual\n"
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            cli._write(str(out), chunks())
+        assert _listing(tmp_path) == {"out.csv": b"older rows\n"}
+
+    def test_new_file_gets_the_mode_of_a_plain_open(self, tmp_path):
+        assert run([*_SHORT_RUN, "--out", str(tmp_path / "out.csv")], tmp_path) == 0
+        with open(tmp_path / "plain", "w"):
+            pass
+        assert os.stat(tmp_path / "out.csv").st_mode == os.stat(tmp_path / "plain").st_mode
+
+    def test_symlinked_out_keeps_its_link(self, tmp_path):
+        assert run([*_SHORT_RUN, "--out", str(tmp_path / "ref.csv")], tmp_path) == 0
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"older rows\n")
+        link.symlink_to(target)
+        assert run([*_SHORT_RUN, "--out", str(link)], tmp_path) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_fifo_out_gets_the_rows_and_stays_a_fifo(self, tmp_path):
+        assert run([*_SHORT_RUN, "--out", str(tmp_path / "ref.csv")], tmp_path) == 0
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run([*_SHORT_RUN, "--out", str(fifo)], tmp_path) == 0
+        reader.join(timeout=30)
+        assert got == [(tmp_path / "ref.csv").read_bytes()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 class TestDynamicsCommand:

@@ -13,6 +13,7 @@ from latgauge.gaussian import (
     _unit_proof,
     coulomb_energy_shift,
     coulomb_momentum,
+    gauss_bound,
     gauss_residual,
     ground_energy,
     wrap_phase,
@@ -246,9 +247,16 @@ class TestUnitProof:
             p = coulomb_momentum(unit, build_kernels(grid))
         p_max = max(max(c.values.max(), -c.values.min()) for c in (p.x, p.y))
         expected = (gauss_residual(p, unit), float(p_max))
-        fresh = build_kernels(grid)
-        assert "_unit_proof" not in fresh.__dict__
-        assert _unit_proof(fresh) == expected
+        assert _unit_proof(build_kernels(grid)) == expected
+
+    def test_gauss_bound_leaves_the_table_as_it_was(self):
+        # the proof is recomputed per call, never kept on the frozen table
+        kernels = build_kernels(GridSpec(25))
+        before = dict(vars(kernels))
+        gauss_bound([1.0, 1.0], kernels)
+        after = vars(kernels)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
 
 
 class TestSolvableChargePart:

@@ -501,3 +501,19 @@ def test_output_mutant_fails_golden_corpus(monkeypatch, tmp_path, name, mutant):
     monkeypatch.setattr(cli, name, mutant)
     with pytest.raises(AssertionError, match="case dynamics-n16-a1.0-seed0: file is"):
         test_golden.test_case_replays_byte_for_byte(case, tmp_path)
+
+
+def _write_in_place(path, chunks):
+    # streams straight into --out, truncating an older file first
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.writelines(chunks)
+
+
+def test_write_in_place_fails_older_file_test(monkeypatch, tmp_path, capsys):
+    check = test_cli.TestOneWriter().test_failed_run_leaves_the_directory_as_it_was
+    for case in ("intact", "mutant"):
+        (tmp_path / case).mkdir()
+    check(tmp_path / "intact", capsys, "dynamics", b"older rows\n")
+    monkeypatch.setattr(cli, "_write", _write_in_place)
+    with pytest.raises(AssertionError):
+        check(tmp_path / "mutant", capsys, "dynamics", b"older rows\n")
