@@ -6,9 +6,11 @@ magnetic operator.
 All coefficients are exact rationals; stencil factors 1/(2a) embed
 exactly because binary floats are rationals. Commutators of field-linear
 operators are always scalars, so gauge invariance reduces to an exact
-nullspace computation. All exact elimination (generator independence
-and gauge-invariant nullspaces) is one sparse, incremental reduced row
-echelon form.
+nullspace computation. Independence is first proven by a rank mod the
+prime ``2^61 - 1``: a full rank there is a full rank over Q. Exact
+elimination, one sparse, incremental reduced row echelon form, finds
+gauge-invariant nullspaces and decides independence wherever the rank
+mod p falls short.
 
 Centers need no elimination. A square region's algebra is generated by
 its p components and its interior magnetic crosses b; p-p and b-b
@@ -274,15 +276,15 @@ def commutator_scalar(lhs: LinearOperator, rhs: LinearOperator) -> Fraction:
     return total
 
 
+_NEIGHBOURS = ((0, 1), (0, -1), (1, 0), (-1, 0))
+
+
 def _touched_crosses(sites, grid: GridSpec) -> list[Site]:
     """The sites whose (Gauss or magnetic) cross stencil touches one of
     ``sites``, in sorted order: their wrapped 4-neighbours, the only
     crosses that can have a nonzero commutator with an operator supported
     on ``sites``."""
-    return sorted(
-        {grid.wrap(i + di, j + dj) for i, j in sites
-         for di, dj in ((0, 1), (0, -1), (1, 0), (-1, 0))}
-    )
+    return sorted({grid.wrap(i + di, j + dj) for i, j in sites for di, dj in _NEIGHBOURS})
 
 
 def is_gauge_invariant(op: LinearOperator, grid: GridSpec) -> bool:
@@ -364,8 +366,11 @@ class GeneratorSet:
         object.__setattr__(self, "labels", tuple(self.labels))
         if self.labels and len(self.labels) != len(self.generators):
             raise ValueError("labels must parallel generators")
+        rows = [_row(g) for g in self.generators]
+        if _independent_mod_p(rows):
+            return
         span = _SparseRref()
-        if not all(span.insert(_row(g)) for g in self.generators):
+        if not all(span.insert(row) for row in rows):
             raise ValueError("generators are linearly dependent")
 
     def __len__(self):
@@ -374,6 +379,54 @@ class GeneratorSet:
 
 # ---------------------------------------------------------------------------
 # exact linear algebra over Fractions
+
+_P = 2**61 - 1  # a Mersenne prime
+
+
+def _independent_mod_p(rows) -> bool:
+    """Whether the sparse rows ``{column: Fraction}`` are linearly
+    independent mod ``_P``, each entry read as numerator times the
+    inverse of its denominator.
+
+    True proves them independent over Q: with every denominator a unit
+    mod p, each row is an integer row times a unit, and a maximal minor
+    nonzero mod p is a nonzero integer. False proves nothing, and is
+    also the answer when a denominator is divisible by p; only exact
+    elimination (``_SparseRref``) then decides.
+    """
+    units: dict[int, int] = {}
+    ids: dict = {}
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> row, 1 there
+    for row in rows:
+        r = {}
+        for c, v in row.items():
+            d = v.denominator
+            unit = units.get(d)
+            if unit is None:
+                if d % _P == 0:
+                    return False
+                unit = units[d] = pow(d, -1, _P)
+            x = v.numerator * unit % _P
+            if x:
+                r[ids.setdefault(c, len(ids))] = x
+        while r:
+            c = min(r)
+            pivot = pivots.get(c)
+            if pivot is None:
+                unit = pow(r[c], -1, _P)
+                pivots[c] = {k: x * unit % _P for k, x in r.items()}
+                break
+            f = r[c]
+            for k, x in pivot.items():
+                y = (r.get(k, 0) - f * x) % _P
+                if y:
+                    r[k] = y
+                else:
+                    del r[k]
+        else:
+            return False  # the row reduced to zero
+    return True
+
 
 def _row(op: LinearOperator) -> dict:
     """Sparse row of an operator's q and p coefficients, keyed
@@ -557,8 +610,9 @@ def center_basis(region: Region, grid: GridSpec) -> GeneratorSet:
     telescope to border p components that the edge and corner entries
     carry. The basis drops one entry of each relation and proves the
     rest a basis on every call: each entry is central
-    (``in_center_span``), the one ``GeneratorSet`` elimination proves
-    them independent, and their number is ``center_dimension``.
+    (``in_center_span``), ``GeneratorSet`` proves them independent (by
+    their rank mod p, with exact elimination only if that falls short),
+    and their number is ``center_dimension``.
     """
     dim = center_dimension(region, grid)
     dropped = _dropped_labels(region)
@@ -584,9 +638,9 @@ _NULLSPACE_CACHE: dict = {}
 def center_dimension(region: Region, grid: GridSpec) -> int:
     """Dimension of the center, ``2M^2 - (M-2)^2``: region p components
     minus interior crosses. The p generators are unit rows in distinct
-    columns, so the count holds once the crosses are proven exactly
-    independent; that proof is one elimination of their rows. Memoized
-    in ``_NULLSPACE_CACHE``.
+    columns, so the count holds once the crosses are proven independent:
+    by their rank mod p, or else by exact elimination of their rows.
+    Memoized in ``_NULLSPACE_CACHE``.
 
     Raises
     ------
@@ -596,30 +650,39 @@ def center_dimension(region: Region, grid: GridSpec) -> int:
     key = (region, grid)
     if key not in _NULLSPACE_CACHE:
         region.validate_on(grid)
-        span = _SparseRref()
-        for site in region.stencil_interior_sites():
-            if not span.insert(_row(b_operator(grid, site))):
-                raise AssertionError(f"the interior cross at {site} depends on the others")
+        sites = region.stencil_interior_sites()
+        rows = [_row(b_operator(grid, site)) for site in sites]
+        if not _independent_mod_p(rows):
+            span = _SparseRref()
+            for site, row in zip(sites, rows):
+                if not span.insert(row):
+                    raise AssertionError(f"the interior cross at {site} depends on the others")
         m = region.size
         _NULLSPACE_CACHE[key] = 2 * m * m - (m - 2) ** 2
     return _NULLSPACE_CACHE[key]
 
 
 def in_center_span(op: LinearOperator, region: Region, grid: GridSpec) -> bool:
-    """Exact membership test of ``op`` in the center: no q part, p support inside the region, and commuting with every interior
-    magnetic cross. Only the crosses next to the p support can pair with
-    it, so only those are evaluated."""
+    """Exact membership test of ``op`` in the center: no q part, p support
+    inside the region, and commuting with every interior magnetic cross.
+    That commutator is ``-1/(2a)`` times the cross's four-term stencil
+    ``p_y[i,j+1] - p_y[i,j-1] - p_x[i+1,j] + p_x[i-1,j]`` of ``op``'s p
+    coefficients, so the stencil is summed directly, in Fractions, at the
+    interior crosses next to the p support, the only ones that can pair
+    with it."""
     region.validate_on(grid)
-    support = [site for site, _comp in op.p_coeffs]
-    return (
-        not op.q_coeffs
-        and all(region.contains(site) for site in support)
-        and all(
-            commutator_scalar(op, b_operator(grid, site)) == 0
-            for site in _touched_crosses(support, grid)
-            if region.is_interior(site)
-        )
-    )
+    p = op.p_coeffs
+    if op.q_coeffs or not all(region.contains(site) for site, _comp in p):
+        return False
+    # the region does not wrap, so an interior cross's stencil needs no wrap
+    get = p.get
+    for i, j in {(i + di, j + dj) for (i, j), _comp in p for di, dj in _NEIGHBOURS}:
+        if region.is_interior((i, j)) and (
+            get(((i, j + 1), "y"), 0) - get(((i, j - 1), "y"), 0)
+            - get(((i + 1, j), "x"), 0) + get(((i - 1, j), "x"), 0)
+        ):
+            return False
+    return True
 
 
 def sector_label(p_field: VectorField, region: Region) -> list[float]:

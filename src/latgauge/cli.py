@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help='colon pair, e.g. "50,40:50,60"',
     )
     taus = fme_cmd.add_mutually_exclusive_group()
-    taus.add_argument("--tau", type=float, default=0.0)
+    taus.add_argument("--tau", type=float, default=None, help="default 0")
     taus.add_argument("--sweep-tau", type=_parse_sweep, default=None, help="start:stop:step")
     fme_cmd.add_argument("--region-size", type=_int, default=7)
     fme_cmd.add_argument("--out", default=None)
@@ -293,7 +293,11 @@ def _cmd_coulomb(ns: argparse.Namespace) -> int:
 def _cmd_fme(ns: argparse.Namespace) -> int:
     if len(ns.sites) != 2:
         raise UsageError(f"--sites needs two sites, got {len(ns.sites)}")
-    taus = [ns.tau] if ns.sweep_tau is None else ns.sweep_tau
+    if ns.null_test:
+        for option in ("tau", "sweep_tau", "out"):
+            if getattr(ns, option) is not None:
+                raise UsageError(f"--null-test does not read --{option.replace('_', '-')}")
+    taus = [0.0 if ns.tau is None else ns.tau] if ns.sweep_tau is None else ns.sweep_tau
     with _usage_errors():
         spec = ProtocolSpec(GridSpec(ns.n, ns.a), *ns.sites, size=ns.region_size, taus=taus)
     kernels = load_or_build_kernels(spec.grid, ns.cache_dir)
@@ -318,29 +322,45 @@ def _cmd_algebra(ns: argparse.Namespace) -> int:
         region = Region((i0, j0), m)
         region.validate_on(grid)
     basis = center_basis(region, grid)
-    doc = {
-        "n": grid.n,
-        "a": grid.spacing,
-        "region": [i0, j0, m],
-        "dimension": len(basis.generators),
-        "basis": [
-            {
-                "label": str(label),
-                "terms": [
-                    {
-                        "field": "p",
-                        "component": comp,
-                        "site": [site[0], site[1]],
-                        "coefficient": str(coeff),
-                    }
-                    for (site, comp), coeff in sorted(op.p_coeffs.items())
-                ],
-            }
-            for op, label in zip(basis.generators, basis.labels)
-        ],
-    }
-    _write(ns.dump, [json.dumps(doc, indent=2) + "\n"])
+    _write(ns.dump, [_center_json(grid, (i0, j0, m), basis)])
     return 0
+
+
+def _json_list(items: list[str], indent: int) -> str:
+    """A nonempty JSON list of rendered ``items``, as
+    ``json.dumps(indent=2)`` writes it at ``indent`` spaces."""
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+
+
+def _center_json(grid: GridSpec, region: tuple[int, int, int], basis) -> str:
+    """The ``algebra`` dump of a center basis, p terms sorted by site and
+    component, coefficients as ``str(Fraction)``: byte for byte
+    ``json.dumps(doc, indent=2) + "\\n"`` of the document
+    ``{n, a, region, dimension, basis: [{label, terms: [{field, component,
+    site, coefficient}]}]}``, written from that fixed schema, since with
+    an indent ``json`` never takes its C encoder. Neither list is ever
+    empty: a center has dimension at least 9 and no element is zero."""
+    text = json.encoder.encode_basestring_ascii  # json.dumps' string escaping
+    entries = [
+        f'    {{\n      "label": {text(str(label))},\n      "terms": '
+        + _json_list(
+            [
+                f'        {{\n          "field": "p",\n          "component": {text(comp)},\n'
+                f'          "site": [\n            {i},\n            {j}\n          ],\n'
+                f'          "coefficient": {text(str(coeff))}\n        }}'
+                for ((i, j), comp), coeff in sorted(op.p_coeffs.items())
+            ],
+            6,
+        )
+        + "\n    }"
+        for op, label in zip(basis.generators, basis.labels)
+    ]
+    i0, j0, m = region
+    return (
+        f'{{\n  "n": {grid.n},\n  "a": {json.dumps(grid.spacing)},\n'
+        f'  "region": [\n    {i0},\n    {j0},\n    {m}\n  ],\n'
+        f'  "dimension": {len(basis.generators)},\n  "basis": {_json_list(entries, 2)}\n}}\n'
+    )
 
 
 def _cmd_continuum(ns: argparse.Namespace) -> int:

@@ -304,7 +304,8 @@ def vn_entropy(density_matrix: np.ndarray) -> float:
     eigenvalues = np.linalg.eigvalsh(rho)
     if np.min(eigenvalues) < -1e-10:
         raise NotDensityMatrix(f"negative eigenvalue {np.min(eigenvalues)}")
-    return float(-sum(lam * np.log(lam) for lam in eigenvalues if lam > 1e-15))
+    # 0.0 - sum, not -sum: a pure state's entropy is +0.0, as in entropy_from_phases
+    return float(0.0 - sum(lam * np.log(lam) for lam in eigenvalues if lam > 1e-15))
 
 
 def entropy_from_phases(theta: dict) -> float:

@@ -223,10 +223,22 @@ def _cache_key(grid: GridSpec) -> str:
 def save_kernels(table: KernelTable, path) -> None:
     """Serialize to the binary cache format: magic ``LGK2``, N (u32),
     a (f64), policy (u8), then the N^2 D values as row-major
-    little-endian doubles."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(_HEADER, _CACHE_MAGIC, table.grid.n, table.grid.spacing, 0))
-        np.ascontiguousarray(table.d_values, dtype="<f8").tofile(fh)
+    little-endian doubles. The bytes go to a file beside ``path`` that
+    replaces it once complete and is removed on any exception, so a
+    failed save leaves an older cache file as it was."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(struct.pack(_HEADER, _CACHE_MAGIC, table.grid.n, table.grid.spacing, 0))
+            np.ascontiguousarray(table.d_values, dtype="<f8").tofile(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def load_kernels(path) -> KernelTable:

@@ -80,6 +80,13 @@ CASES = {
         f"fme-n{n}-null-test": _cmd("fme", "--n", str(n), "--sites", _FME_SITES[n], "--null-test", out=None)
         for n in (25, 101)
     },
+    "fme-n25-default-tau": _cmd("fme", "--n", "25", "--sites", "12,7:12,17"),
+    # exit 2: options the null test does not read
+    "fme-null-test-out": _cmd("fme", "--n", "25", "--sites", "12,7:12,17", "--null-test"),
+    "fme-null-test-tau": _cmd("fme", "--n", "25", "--sites", "12,7:12,17", "--null-test", "--tau", "0", out=None),
+    "fme-null-test-sweep": _cmd(
+        "fme", "--n", "25", "--sites", "12,7:12,17", "--null-test", "--sweep-tau", "0:5:1", out=None
+    ),
     "fme-n25-stdout": _cmd("fme", "--n", "25", "--sites", "12,7:12,17", "--sweep-tau", "0:3:1", out=None),
     "coulomb-n31-two": _cmd("coulomb", "--n", "31", "--charges", "15,10;15,20"),
     "coulomb-n40-two": _cmd("coulomb", "--n", "40", "--charges", "0,0;0,38"),
@@ -88,6 +95,13 @@ CASES = {
         f"algebra-n{n}-m{m}": _cmd("algebra", "--n", str(n), "--region", f"2,3,{m}", out="--dump")
         for n in (11, 12)
         for m in (3, 4, 5, 6)
+    },
+    # a != 1: 1/(2a) has a large odd denominator; regions on the grid's edges
+    **{
+        f"algebra-n{n}-a{a}-m{region.rsplit(',', 1)[1]}": _cmd(
+            "algebra", "--n", str(n), "--a", a, "--region", region, out="--dump"
+        )
+        for n, a, region in ((20, "0.7", "3,4,7"), (16, "1e-3", "1,2,8"), (13, "2.5", "0,4,9"), (31, "0.1", "21,0,10"))
     },
     "continuum-d-log": _cmd("continuum", "--check", "d-log", "--n-list", "21,41", "--pairs", "2,4;1,2"),
     "continuum-g-scaling": _cmd("continuum", "--check", "g-scaling", "--n-list", "21,41", "--r", "3"),

@@ -29,7 +29,7 @@ from latgauge.algebra import (
     q_op,
     sector_label,
 )
-from latgauge.algebra import _center_catalog, _nullspace, _row, _SparseRref
+from latgauge.algebra import _P, _center_catalog, _independent_mod_p, _nullspace, _row, _SparseRref
 from latgauge.gaussian import NonNeutralWarning, coulomb_momentum
 from latgauge.grid import GridSpec
 from latgauge.matter import MatterConfig, density
@@ -483,6 +483,42 @@ class TestSparseRref:
         assert [_dense(v, ncols) for v in null] == _dense_nullspace(rows, ncols)
 
 
+class TestIndependentModP:
+    """The rank mod p against exact elimination. True proves independence
+    over Q; for entries this small every minor lies far below p, so the
+    two answers agree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rational_matrices())
+    def test_matches_sparse_rref(self, case):
+        _ncols, rows, _probe = case
+        span = _SparseRref()
+        exact = all([span.insert(_sparse(r)) for r in rows])
+        assert _independent_mod_p([_sparse(r) for r in rows]) == exact
+
+    def test_multiples_of_p_fall_back_to_exact_elimination(self):
+        x, y = p_op((1, 1), "x"), p_op((2, 3), "y")
+        independent = [
+            [_P * x],  # zero mod p
+            [x + y, x + (1 + _P) * y],  # equal mod p
+            [Fraction(1, _P) * x, y],  # a denominator divisible by p
+        ]
+        for gens in independent:
+            assert not _independent_mod_p([_row(g) for g in gens])
+            assert len(GeneratorSet(gens)) == len(gens)
+        with pytest.raises(ValueError, match="linearly dependent"):
+            GeneratorSet([x, Fraction(1, _P) * x])
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.7, 1e-3])
+    def test_center_basis_at_m6_runs_no_exact_elimination(self, spacing, monkeypatch):
+        def insert(span, row):
+            raise AssertionError("exact elimination reached")
+
+        monkeypatch.setattr(_SparseRref, "insert", insert)
+        monkeypatch.setattr(algebra, "_NULLSPACE_CACHE", {})
+        assert len(center_basis(Region((2, 3), 6), GridSpec(13, spacing))) == 6**2 + 4 * 6 - 4
+
+
 @st.composite
 def _center_probes(draw):
     """A region on a small grid, often at its edges, where neighbours
@@ -511,6 +547,35 @@ class TestCenterSpan:
     @settings(max_examples=60, deadline=None)
     @given(_center_probes())
     def test_matches_every_interior_cross(self, probe):
+        op, region, grid = probe
+        assert in_center_span(op, region, grid) == _literal_in_center(op, region, grid)
+
+
+@st.composite
+def _pure_p_probes(draw):
+    """A region, often at the grid's edges, and a pure-p operator: a
+    rational combination of catalog entries (central), often plus one p
+    term in the region (seldom central)."""
+    n = draw(st.integers(4, 9))
+    m = draw(st.integers(3, n - 1))
+    corner = st.sampled_from([0, n - m]) | st.integers(0, n - m)
+    region = Region((draw(corner), draw(corner)), m)
+    grid = GridSpec(n, draw(st.sampled_from([1.0, 0.7, 1e-3, 2.5])))
+    catalog = [op for op, _label in _center_catalog(region, grid)]
+    op = LinearOperator()
+    for k, c in draw(st.lists(st.tuples(st.integers(0, len(catalog) - 1), _SMALL), max_size=4)):
+        op = op + c * catalog[k]
+    if draw(st.booleans()):
+        op = op + draw(_SMALL) * p_op(draw(st.sampled_from(region.sites())), draw(st.sampled_from("xy")))
+    return op, region, grid
+
+
+class TestCenterStencil:
+    """The direct stencil sum against the commutator with each cross."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_pure_p_probes())
+    def test_matches_commutator_definition(self, probe):
         op, region, grid = probe
         assert in_center_span(op, region, grid) == _literal_in_center(op, region, grid)
 

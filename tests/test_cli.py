@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latgauge import cli
+from latgauge.algebra import Region, center_basis
 from latgauge.cli import UsageError, _parse_sweep, main, parse_args
 from latgauge.dynamics import UnstableStep
 from latgauge.fme import NotSeparable
+from latgauge.grid import GridSpec
 from latgauge.spectral import NonRealResult
 
 
@@ -746,6 +748,24 @@ class TestFmeCommand:
         assert code == 2
         assert "nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option", [["--out", "{out}"], ["--tau", "0"], ["--sweep-tau", "0:5:1"]], ids=lambda o: o[0]
+    )
+    def test_null_test_refuses_options_it_does_not_read(self, tmp_path, capsys, option):
+        out = tmp_path / "nt.csv"
+        argv = ["fme", "--n", "25", "--sites", "12,7:12,17", "--null-test"]
+        assert run(argv + [arg.format(out=out) for arg in option], tmp_path) == 2
+        assert capsys.readouterr().err == f"error: --null-test does not read {option[0]}\n"
+        assert not out.exists()
+
+    def test_tau_defaults_to_zero(self, tmp_path, capsys):
+        argv = ["fme", "--n", "25", "--sites", "12,7:12,17"]
+        assert run(argv, tmp_path) == 0
+        default = capsys.readouterr().out
+        assert run(argv + ["--tau", "0"], tmp_path) == 0
+        assert capsys.readouterr().out == default
+        assert default.splitlines()[1].startswith("0.0,")
+
 
 class TestAlgebraCommand:
     def test_center_dump(self, tmp_path):
@@ -783,6 +803,45 @@ class TestAlgebraCommand:
         out = tmp_path / "c.json"
         code = run(["algebra", "--n", "11", "--region", region, "--dump", str(out)], tmp_path)
         assert_usage_error(code, capsys, out)
+
+
+def _center_doc(grid, region, basis):
+    """The ``algebra`` dump as the document ``json.dumps(doc, indent=2)``
+    renders, the oracle of ``cli._center_json``."""
+    return {
+        "n": grid.n,
+        "a": grid.spacing,
+        "region": list(region),
+        "dimension": len(basis.generators),
+        "basis": [
+            {
+                "label": str(label),
+                "terms": [
+                    {"field": "p", "component": comp, "site": [site[0], site[1]], "coefficient": str(coeff)}
+                    for (site, comp), coeff in sorted(op.p_coeffs.items())
+                ],
+            }
+            for op, label in zip(basis.generators, basis.labels)
+        ],
+    }
+
+
+@st.composite
+def _center_bases(draw):
+    n = draw(st.integers(4, 13))
+    m = draw(st.integers(3, min(n - 1, 8)))
+    region = (draw(st.integers(0, n - m)), draw(st.integers(0, n - m)), m)
+    spacing = draw(st.sampled_from([1.0, 0.7, 1e-3]) | st.floats(1e-6, 1e6))
+    grid = GridSpec(n, spacing)
+    return grid, region, center_basis(Region(region[:2], m), grid)
+
+
+class TestCenterJson:
+    @settings(max_examples=40, deadline=None)
+    @given(_center_bases())
+    def test_matches_json_dumps(self, case):
+        grid, region, basis = case
+        assert cli._center_json(grid, region, basis) == json.dumps(_center_doc(grid, region, basis), indent=2) + "\n"
 
 
 class TestContinuumCommand:

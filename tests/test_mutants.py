@@ -354,6 +354,13 @@ def test_repeated_interior_cross_fails_independence_check(monkeypatch):
         algebra.center_dimension(region, GridSpec(11, 1.0))
 
 
+def test_mod_p_rank_always_full_fails_dependent_generator_test(monkeypatch):
+    # every row set passes as independent, so exact elimination never runs
+    monkeypatch.setattr(algebra, "_independent_mod_p", lambda rows: True)
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_algebra.TestGeneratorSet().test_rejects_dependent_generators()
+
+
 def test_scipy_at_module_top_fails_import_guard(monkeypatch, tmp_path):
     src = tmp_path / "src"
     shutil.copytree(test_surface.SRC, src, ignore=shutil.ignore_patterns("__pycache__"))

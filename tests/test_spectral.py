@@ -1,10 +1,14 @@
 """DFT convention, wave vectors, kernel tables, and the cache format."""
 
+import errno
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latgauge import spectral
 from latgauge.grid import GridSpec, ScalarField, dbar
 from latgauge.spectral import (
     FourierField,
@@ -200,6 +204,44 @@ class TestKernels:
         assert np.isfinite(build_kernels(grid).d_values).all()
 
 
+def nn_green_values(n):
+    """``G_N``: the zero-mode-excluded Green's function of the
+    nearest-neighbour Laplacian on the N x N torus, mode weights
+    ``1/(4 sin^2(pi alpha/N) + 4 sin^2(pi beta/N))``, by the same FFT."""
+    w = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
+    lap = w[:, np.newaxis] + w
+    kept = lap > 0
+    weights = np.where(kept, 1.0 / np.where(kept, lap, 1.0), 0.0)
+    return np.real(np.fft.fft2(weights)) / n**2
+
+
+_EPS = np.finfo(float).eps
+
+
+class TestNearestNeighbourRelabelling:
+    """D is ``(2a)^2`` times the nearest-neighbour G of one lattice: the
+    symmetric difference reaches two sites, so on an odd torus the wrap
+    joins the parity classes into one lattice walked in steps of two, and
+    on an even torus each class is its own lattice at spacing 2a."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 100).map(lambda k: 2 * k + 1), a=st.floats(1e-3, 1e3))
+    def test_odd_n_is_one_lattice_walked_in_steps_of_two(self, n, a):
+        d = kernel_values(GridSpec(n, a), 2)
+        step = (n + 1) // 2 * np.arange(n) % n  # h i mod N, h the inverse of 2
+        g = nn_green_values(n)[np.ix_(step, step)]
+        assert np.max(np.abs(d - (2 * a) ** 2 * g)) <= 64 * _EPS * d[0, 0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 100).map(lambda k: 2 * k), a=st.floats(1e-3, 1e3))
+    def test_even_n_parity_classes_decouple(self, n, a):
+        d = kernel_values(GridSpec(n, a), 2)
+        assert np.max(np.abs(d[::2, ::2] - (2 * a) ** 2 * nn_green_values(n // 2))) <= 64 * _EPS * d[0, 0]
+        other = np.ones((n, n), dtype=bool)
+        other[::2, ::2] = False  # every offset with an odd component
+        assert np.max(np.abs(d[other])) <= 32 * _EPS * d[0, 0]
+
+
 def _write_lgk1(path, grid):
     """A cache file in the older LGK1 layout: the same header, then N^2 G
     and N^2 D doubles."""
@@ -281,6 +323,26 @@ class TestKernelCache:
             load_kernels(cache_file)
         table = load_or_build_kernels(grid, tmp_path)
         np.testing.assert_array_equal(table.d_values, build_kernels(grid).d_values)
+
+    def test_failed_save_leaves_the_older_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "kern.lgk"
+        save_kernels(build_kernels(GridSpec(5, 1.0)), path)
+        older = path.read_bytes()
+
+        class HalfPayload:
+            # writes part of the payload, then the disk is full
+            def __init__(self, values, dtype):
+                self.data = np.asarray(values, dtype=dtype).tobytes()
+
+            def tofile(self, fh):
+                fh.write(self.data[: len(self.data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(spectral.np, "ascontiguousarray", HalfPayload)
+        with pytest.raises(OSError, match="No space"):
+            save_kernels(build_kernels(GridSpec(5, 2.0)), path)
+        assert path.read_bytes() == older
+        assert [f.name for f in tmp_path.iterdir()] == ["kern.lgk"]
 
     def test_file_holds_header_and_d_only(self, tmp_path):
         path = tmp_path / "kern.lgk"
