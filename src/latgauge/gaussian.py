@@ -10,11 +10,20 @@ one unit-charge background of the table, ``dbar D``. hbar = 1 throughout.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField, dbar, divergence
+from .grid import (
+    GridSpec,
+    ScalarField,
+    VectorField,
+    _block_rows,
+    _dbar_values,
+    _dbar_y_rows,
+    dbar,
+)
 from .spectral import KernelTable, wave_number_table
 
 __all__ = [
@@ -59,6 +68,13 @@ def wrap_phase(phi: float) -> float:
     return np.pi if y == -np.pi else y
 
 
+def _sublattice_means(values: np.ndarray) -> np.ndarray:
+    """The means of an even-N density over its four parity sublattices,
+    indexed ``[i % 2, j % 2]``."""
+    h = values.shape[0] // 2
+    return values.reshape(h, 2, h, 2).mean(axis=(0, 2))
+
+
 def _excluded_part(values: np.ndarray):
     """The part of a density on the |k| = 0 modes. For odd N that is the
     uniform mode, so the spatial mean. For even N the four sign patterns
@@ -68,18 +84,45 @@ def _excluded_part(values: np.ndarray):
     n = values.shape[0]
     if n % 2:
         return values.mean()
-    h = n // 2
-    return np.tile(values.reshape(h, 2, h, 2).mean(axis=(0, 2)), (h, h))
+    return np.tile(_sublattice_means(values), (n // 2, n // 2))
 
 
 def gauss_residual(p: VectorField, rho: ScalarField) -> float:
     """Infinity norm of div p + rho restricted to the solvable sector,
-    the residual every background constructor is held to. One N^2
-    temporary besides the divergence; the sum is ``div p + solvable
-    rho``, elementwise as written."""
-    res = rho.values - _excluded_part(rho.values)
-    res += divergence(p).values
-    return float(np.max(np.abs(res, out=res)))
+    the residual every background constructor is held to.
+
+    Evaluated over row blocks of about ``_BLOCK_ENTRIES`` entries, so the
+    only N^2 arrays are the ones passed in. Each entry is the literal
+    ``(rho - excluded) + (dbar_x p_x + dbar_y p_y)`` of
+    ``rho - _excluded_part(rho) + divergence(p)``, the y stencil reading
+    one wrapped halo row. The excluded part is the mean at odd N and, at
+    even N, the 2x2 sublattice means repeated along a block's rows. So
+    the maximum is the whole-array one, bit for bit; a NaN anywhere gives
+    NaN."""
+    grid = p.grid
+    if rho.grid.n != grid.n:
+        raise ValueError("rho and p must live on grids of one size")
+    n, a = grid.n, grid.spacing
+    rho_v, px, py = rho.values, p.x.values, p.y.values
+    even = n % 2 == 0
+    # a scalar at odd N; at even N the two distinct rows of the tile
+    excluded = np.tile(_sublattice_means(rho_v), (1, n // 2)) if even else rho_v.mean()
+    rows = _block_rows(n, even)
+    div, res = np.empty((rows, n)), np.empty((rows, n))
+    peaks = []
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        d, r = div[: i1 - i0], res[: i1 - i0]
+        _dbar_values(px[i0:i1], "x", a, out=d)
+        d += _dbar_y_rows(py, i0, i1, a, out=r)
+        if even:
+            np.subtract(rho_v[i0:i1].reshape(-1, 2, n), excluded, out=r.reshape(-1, 2, n))
+        else:
+            np.subtract(rho_v[i0:i1], excluded, out=r)
+        r += d
+        peaks.append(np.max(np.abs(r, out=r)))
+    # max() alone would pass over a NaN that is not first
+    return math.nan if any(map(math.isnan, peaks)) else float(max(peaks))
 
 
 def ground_energy(grid: GridSpec) -> float:
@@ -155,14 +198,24 @@ def _unit_proof(kernels: KernelTable) -> tuple[float, float]:
     """``(r0, max|P|)`` of the unit-charge background ``P = dbar D``, which
     is ``coulomb_momentum(delta_0)`` read straight off the table, with
     ``r0 = gauss_residual(P, delta_0)``; no delta field is scanned and no
-    ``NonNeutralWarning`` raised. P itself is dropped."""
+    ``NonNeutralWarning`` raised. P itself is dropped.
+
+    ``gauss_residual`` works in row blocks, and ``max|P|`` is one pass over
+    the same blocks: the max and min of each component's block, so the
+    four whole-array reductions ``max(max P_s, -min P_s)`` give the same
+    exact value. A NaN in P makes r0 NaN."""
     grid = kernels.grid
     d = ScalarField(grid, kernels.d_values)  # the read-only table, not a copy
     p = VectorField(dbar(d, "x"), dbar(d, "y"))
     unit = np.zeros(grid.shape)
     unit[0, 0] = 1.0
-    p_max = max(max(c.values.max(), -c.values.min()) for c in (p.x, p.y))
-    return gauss_residual(p, ScalarField(grid, unit)), float(p_max)
+    r0 = gauss_residual(p, ScalarField(grid, unit))
+    rows = _block_rows(grid.n)
+    peaks = []
+    for i0 in range(0, grid.n, rows):
+        for c in (p.x.values[i0 : i0 + rows], p.y.values[i0 : i0 + rows]):
+            peaks += (c.max(), -c.min())
+    return r0, float(max(peaks))
 
 
 def gauss_bound(charges, kernels: KernelTable) -> float:

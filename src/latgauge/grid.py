@@ -22,6 +22,9 @@ __all__ = [
     "sum_by_parts_residual",
 ]
 
+# entries per row block of the blocked reductions (512 KiB of doubles)
+_BLOCK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -189,6 +192,34 @@ def _dbar_values(
         raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
     out /= 2.0 * spacing
     return out
+
+
+def _dbar_y_rows(
+    values: np.ndarray, i0: int, i1: int, spacing: float, out: np.ndarray
+) -> np.ndarray:
+    """Rows ``i0:i1`` of ``_dbar_values(values, "y", spacing)`` into
+    ``out``, entry for entry the same arithmetic: the interior rows by one
+    slice subtraction reading one halo row on each side, rows 0 and N-1
+    from their wrapped neighbours, then one in-place divide."""
+    n = values.shape[0]
+    lo, hi = max(i0, 1), min(i1, n - 1)
+    if lo < hi:
+        np.subtract(values[lo + 1 : hi + 1], values[lo - 1 : hi - 1], out=out[lo - i0 : hi - i0])
+    if i0 == 0:
+        np.subtract(values[1], values[-1], out=out[0])
+    if i1 == n:
+        np.subtract(values[0], values[-2], out=out[-1])
+    out /= 2.0 * spacing
+    return out
+
+
+def _block_rows(n: int, even: bool = False) -> int:
+    """Rows per block of an N-row, N-column array in the blocked
+    reductions: about ``_BLOCK_ENTRIES`` entries, so each block temporary
+    stays in a core's L2 cache, and at most N. With ``even`` (at even N)
+    the count is even, so every block starts on an even row."""
+    rows = max(1, _BLOCK_ENTRIES // n)
+    return min(n, max(2, rows - rows % 2) if even else rows)
 
 
 def dbar(field: ScalarField, direction: str) -> ScalarField:

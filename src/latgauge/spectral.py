@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, _owned
+from .grid import GridSpec, ScalarField, _block_rows, _owned
 
 __all__ = [
     "NonRealResult",
@@ -168,12 +168,33 @@ def _mode_weights(grid: GridSpec, power: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _assert_table(values: np.ndarray) -> None:
     """A kernel table is even under offset negation, and positive at
-    offset 0, where it is the sum of the positive weights."""
-    # one N^2 temporary: the defect, worked in place; a NaN fails the test
-    defect = np.roll(values[::-1, ::-1], (1, 1), axis=(0, 1))
-    defect -= values
-    scale = max(values.max(), -values.min())
-    if not np.max(np.abs(defect, out=defect)) <= 1e-10 * scale:
+    offset 0, where it is the sum of the positive weights.
+
+    One pass over row blocks of about ``_BLOCK_ENTRIES`` entries, so no
+    N^2 temporary is made. The defect ``|D(-i, -j) - D(i, j)|`` is taken
+    with that literal arithmetic on rows 0 to N // 2, which hold one
+    offset of every pair ``(i, j), (-i, -j)``; the other offset's defect
+    is its exact negation. It is held to 1e-10 of ``max(max D, -min D)``
+    over all rows. Both maxima are exact, and a NaN fails the test."""
+    n = values.shape[0]
+    rows = _block_rows(n)
+    half = n // 2 + 1
+    defect = np.empty((min(rows, half), n))
+    peaks, highs, lows = [], [], []
+    # row i mirrors row (N - i) mod N: row 0 itself, rows 1, 2, ... the last rows reversed
+    for i0, i1 in [(0, 1)] + [(i, min(i + rows, n)) for i in range(1, n, rows)]:
+        here = values[i0:i1]
+        highs.append(here.max())
+        lows.append(here.min())
+        k1 = min(i1, half)
+        if i0 < k1:
+            there = values[:1] if i0 == 0 else values[n - k1 + 1 : n - i0 + 1][::-1]
+            here, out = here[: k1 - i0], defect[: k1 - i0]
+            np.subtract(there[:, :1], here[:, :1], out=out[:, :1])
+            np.subtract(there[:, :0:-1], here[:, 1:], out=out[:, 1:])
+            peaks.append(np.max(np.abs(out, out=out)))
+    tol = 1e-10 * max(max(highs), -min(lows))
+    if not all(peak <= tol for peak in peaks):
         raise AssertionError("kernel table is not even under offset negation")
     if not values[0, 0] > 0:
         raise AssertionError(f"kernel table is {float(values[0, 0])!r} at offset 0, not positive")
@@ -272,16 +293,16 @@ def load_kernels(path) -> KernelTable:
 def load_or_build_kernels(grid: GridSpec, cache_dir) -> KernelTable:
     """Fetch the kernel table from the cache directory, rebuilding (and
     rewriting) transparently when the file is missing, corrupted, in an
-    older format, or holds a table for another grid."""
-    os.makedirs(cache_dir, exist_ok=True)
+    older format, or holds a table for another grid. A hit is one read;
+    the directory is made only on a rebuild."""
     path = os.path.join(cache_dir, _cache_key(grid))
-    if os.path.exists(path):
-        try:
-            table = load_kernels(path)
-            if table.grid == grid:
-                return table
-        except (ValueError, AssertionError):
-            pass  # corrupted cache: fall through and rebuild
+    try:
+        table = load_kernels(path)
+        if table.grid == grid:
+            return table
+    except (FileNotFoundError, ValueError, AssertionError):
+        pass  # no file (or no directory yet), or a corrupted one: rebuild
+    os.makedirs(cache_dir, exist_ok=True)
     table = build_kernels(grid)
     save_kernels(table, path)
     return table

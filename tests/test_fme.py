@@ -128,10 +128,30 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="separated"):
             ProtocolSpec(grid, (12, 8), (12, 15), size=7)
 
-    def test_rows_must_match(self):
-        grid = GridSpec(25, 1.0)
-        with pytest.raises(ValueError, match="one row"):
-            ProtocolSpec(grid, (12, 7), (13, 17), size=7)
+
+class TestOffRow:
+    """The charges may sit on different rows: every step is 2D. With the
+    moves two columns either way, Theta = th_LL + th_RR - th_LR - th_RL
+    is -tau I(d) mod 2 pi, with I(d) = 2 D(d) - D(d + (0, 4)) - D(d - (0, 4))
+    read off D at the separation d = site_b - site_a."""
+
+    @pytest.mark.parametrize(
+        "site_a, site_b",
+        [((40, 40), (60, 60)), ((30, 50), (70, 50)), ((44, 40), (56, 60))],
+        ids=["diagonal", "column", "oblique"],
+    )
+    def test_theta_is_minus_tau_i(self, big_kernels, site_a, site_b):
+        tau = 300.0
+        spec = ProtocolSpec(GridSpec(101, 1.0), site_a, site_b, size=7, taus=(tau,))
+        (trace,) = run_protocol(spec, big_kernels)
+        di, dj = site_b[0] - site_a[0], site_b[1] - site_a[1]
+        d = big_kernels.d
+        curvature = 2 * d(di, dj) - d(di, dj + 4) - d(di, dj - 4)
+        ph = trace.phases
+        theta = ph["LL"] + ph["RR"] - ph["LR"] - ph["RL"]
+        assert abs(wrap_phase(theta + tau * curvature)) < 1e-9
+        assert trace.h_sigma_a == pytest.approx(entropy_from_phases(ph), abs=1e-12)
+        assert embezzlement_null_test(spec, big_kernels)
 
 
 class TestDressedMove:

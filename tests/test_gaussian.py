@@ -1,6 +1,8 @@
 """Ground-state energies, the Coulomb background, and phase
 bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from latgauge.gaussian import (
     ground_energy,
     wrap_phase,
 )
-from latgauge.grid import GridSpec, ScalarField, VectorField, divergence
+from latgauge import grid as grid_module
+from latgauge.grid import GridSpec, ScalarField, VectorField, _block_rows, divergence
 from latgauge.spectral import _mode_weights, build_kernels, wave_number_table, wave_vector
 
 
@@ -257,6 +260,75 @@ class TestUnitProof:
         after = vars(kernels)
         assert after.keys() == before.keys()
         assert all(after[name] is value for name, value in before.items())
+
+
+def literal_residual(p, rho):
+    """``gauss_residual`` as one whole-array expression: its oracle."""
+    return float(np.max(np.abs((rho.values - _excluded_part(rho.values)) + divergence(p).values)))
+
+
+class TestBlockedResidual:
+    """``gauss_residual`` works in row blocks of about ``_BLOCK_ENTRIES``
+    entries; every block size gives the whole-array result, bit for bit."""
+
+    @staticmethod
+    def random_fields(n, a, seed):
+        rng = np.random.default_rng(seed)
+        grid = GridSpec(n, a)
+        p = VectorField.from_arrays(grid, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape))
+        return p, ScalarField(grid, rng.integers(-3, 4, size=grid.shape) * rng.uniform(0.1, 2.0))
+
+    @given(
+        n=st.integers(3, 60),
+        a=st.floats(0.05, 20.0),
+        rows=st.integers(1, 70),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_block_size_matches_the_literal_residual(self, n, a, rows, seed):
+        # blocks of one row up to past the whole grid, so most block
+        # counts do not divide N, and N itself from 3 to many blocks
+        p, rho = self.random_fields(n, a, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grid_module, "_BLOCK_ENTRIES", rows * n)
+            assert gauss_residual(p, rho) == literal_residual(p, rho)
+
+    @pytest.mark.parametrize("n", [257, 258, 362, 363, 1000, 1001])
+    def test_default_blocks_match_the_literal_residual(self, n):
+        # two and more blocks of the default size, one row count per case
+        p, rho = self.random_fields(n, 0.7, n)
+        assert n > _block_rows(n, even=True)
+        assert gauss_residual(p, rho) == literal_residual(p, rho)
+
+    @pytest.mark.parametrize("n", [3, 4, 40, 41])
+    @pytest.mark.parametrize("where", ["px", "py", "rho"])
+    def test_nan_anywhere_gives_nan(self, n, where):
+        for seed, site in enumerate([(0, 0), (n - 1, n - 1), (n // 2, 1), (1, n - 1)]):
+            p, rho = self.random_fields(n, 1.0, seed)
+            arrays = {"px": p.x.values.copy(), "py": p.y.values.copy(), "rho": rho.values.copy()}
+            arrays[where][site] = np.nan
+            p = VectorField.from_arrays(p.grid, arrays["px"], arrays["py"])
+            rho = ScalarField(p.grid, arrays["rho"])
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(grid_module, "_BLOCK_ENTRIES", 2 * n)  # several blocks
+                assert np.isnan(gauss_residual(p, rho))
+
+
+class TestOpMemory:
+    """The Gauss proof makes no N^2 temporary beyond the background P and
+    the unit charge it is proven on; ``tracemalloc`` sees numpy's
+    buffers."""
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_gauss_bound_peak(self, n):
+        kernels = build_kernels(GridSpec(n, 1.0))
+        tracemalloc.start()
+        try:
+            gauss_bound([1.0, 1.0], kernels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * n * n
 
 
 class TestSolvableChargePart:

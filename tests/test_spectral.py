@@ -2,17 +2,20 @@
 
 import errno
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latgauge import grid as grid_module
 from latgauge import spectral
-from latgauge.grid import GridSpec, ScalarField, dbar
+from latgauge.grid import GridSpec, ScalarField, _block_rows, dbar
 from latgauge.spectral import (
     FourierField,
     NonRealResult,
+    _assert_table,
     _dft_matrix,
     _mode_weights,
     build_kernels,
@@ -384,3 +387,101 @@ class TestKernelCache:
         np.testing.assert_array_equal(table.d_values, build_kernels(grid).d_values)
         # the right table was written back under the key
         assert load_kernels(cache_file).grid == grid
+
+    def test_cache_hit_is_one_read(self, tmp_path, monkeypatch):
+        # a hit opens the file once and neither makes nor probes the directory
+        grid = GridSpec(9, 1.0)
+        first = load_or_build_kernels(grid, tmp_path)
+        loads = []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache hit touched the directory")
+
+        load = spectral.load_kernels
+        monkeypatch.setattr(spectral, "load_kernels", lambda path: loads.append(path) or load(path))
+        monkeypatch.setattr(spectral.os, "makedirs", refuse)
+        monkeypatch.setattr(spectral.os.path, "exists", refuse)
+        monkeypatch.setattr(spectral, "build_kernels", refuse)
+        table = load_or_build_kernels(grid, tmp_path)
+        assert len(loads) == 1
+        np.testing.assert_array_equal(table.d_values, first.d_values)
+
+    def test_missing_cache_directory_is_created(self, tmp_path):
+        cache_dir = tmp_path / "not" / "yet"
+        grid = GridSpec(9, 1.0)
+        table = load_or_build_kernels(grid, cache_dir)
+        (cache_file,) = cache_dir.iterdir()
+        assert load_kernels(cache_file).grid == grid
+        np.testing.assert_array_equal(table.d_values, build_kernels(grid).d_values)
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_load_makes_no_second_table(self, tmp_path, n):
+        # the payload itself, and nothing N^2 beside it: the evenness
+        # check works in row blocks (tracemalloc sees numpy's buffers)
+        path = tmp_path / "kern.lgk"
+        save_kernels(build_kernels(GridSpec(n, 1.0)), path)
+        tracemalloc.start()
+        try:
+            load_kernels(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n * n
+
+
+class TestAssertTable:
+    """``_assert_table`` checks evenness in row blocks, reading each
+    offset pair from its row in the upper half; an entry off by 1e-8 of
+    D(0) anywhere, or a NaN, fails it."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return build_kernels(GridSpec(1001, 1.0)).d_values
+
+    @staticmethod
+    def edge_sites(n):
+        # row 0, column 0, the last row and column, the middle rows, and
+        # the first and last row of the second and third blocks
+        rows = _block_rows(n)
+        return [
+            (0, 1), (0, n // 2), (0, n - 1), (1, 0), (n // 2, 0), (n - 1, 0),
+            (n - 1, 7), (n - 1, n - 1), (n // 2, 3), (n // 2 + 1, 3),
+            (rows, 5), (rows + 1, 5), (2 * rows, n - 2), (2 * rows + 1, 2),
+        ]
+
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_one_bad_entry_fails(self, table, nan):
+        n = table.shape[0]
+        assert 2 * _block_rows(n) + 1 < n // 2  # the block edges lie in the checked half
+        for site in self.edge_sites(n):
+            bad = table.copy()
+            bad[site] = np.nan if nan else bad[site] + 1e-8 * table[0, 0]
+            with pytest.raises(AssertionError, match="not even"):
+                _assert_table(bad)
+
+    def test_nan_or_negative_at_the_origin_fails(self, table):
+        for value in (np.nan, -table[0, 0]):
+            bad = table.copy()
+            bad[0, 0] = value
+            with pytest.raises(AssertionError):
+                _assert_table(bad)
+
+    @given(n=st.integers(3, 40), rows=st.integers(1, 45), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_any_block_size_finds_any_bad_entry(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        good = kernel_values(GridSpec(n, rng.uniform(0.1, 10.0)), 2)
+        i, j = rng.integers(0, n, size=2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grid_module, "_BLOCK_ENTRIES", rows * n)
+            _assert_table(good)
+            site = (i, j)
+            if ((-i) % n, (-j) % n) != site:  # not its own mirror, as (0, 0) is
+                bad = good.copy()
+                bad[site] += 1e-8 * good[0, 0]
+                with pytest.raises(AssertionError, match="not even"):
+                    _assert_table(bad)
+
+    @pytest.mark.parametrize("n, a", [(3, 1.0), (4, 0.2), (257, 3.0), (258, 1.0), (1000, 0.5)])
+    def test_passes_on_built_tables(self, n, a):
+        _assert_table(kernel_values(GridSpec(n, a), 2))
