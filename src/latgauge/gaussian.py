@@ -198,24 +198,16 @@ def _unit_proof(kernels: KernelTable) -> tuple[float, float]:
     """``(r0, max|P|)`` of the unit-charge background ``P = dbar D``, which
     is ``coulomb_momentum(delta_0)`` read straight off the table, with
     ``r0 = gauss_residual(P, delta_0)``; no delta field is scanned and no
-    ``NonNeutralWarning`` raised. P itself is dropped.
-
-    ``gauss_residual`` works in row blocks, and ``max|P|`` is one pass over
-    the same blocks: the max and min of each component's block, so the
-    four whole-array reductions ``max(max P_s, -min P_s)`` give the same
-    exact value. A NaN in P makes r0 NaN."""
+    ``NonNeutralWarning`` raised. P itself is dropped. ``gauss_residual``
+    evaluates r0 over row blocks with the literal per-entry arithmetic, so
+    it is the whole-array value; a NaN in P makes r0 NaN."""
     grid = kernels.grid
     d = ScalarField(grid, kernels.d_values)  # the read-only table, not a copy
     p = VectorField(dbar(d, "x"), dbar(d, "y"))
     unit = np.zeros(grid.shape)
     unit[0, 0] = 1.0
-    r0 = gauss_residual(p, ScalarField(grid, unit))
-    rows = _block_rows(grid.n)
-    peaks = []
-    for i0 in range(0, grid.n, rows):
-        for c in (p.x.values[i0 : i0 + rows], p.y.values[i0 : i0 + rows]):
-            peaks += (c.max(), -c.min())
-    return r0, float(max(peaks))
+    p_max = max(max(c.values.max(), -c.values.min()) for c in (p.x, p.y))
+    return gauss_residual(p, ScalarField(grid, unit)), float(p_max)
 
 
 def gauss_bound(charges, kernels: KernelTable) -> float:

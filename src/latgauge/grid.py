@@ -180,16 +180,13 @@ def _dbar_values(
     two copies."""
     out = np.empty_like(values) if out is None else out
     # x: neighbours along columns (axis 1); y: along rows (axis 0)
-    if direction == "x":
-        np.subtract(values[:, 2:], values[:, :-2], out=out[:, 1:-1])
-        np.subtract(values[:, 1], values[:, -1], out=out[:, 0])
-        np.subtract(values[:, 0], values[:, -2], out=out[:, -1])
-    elif direction == "y":
-        np.subtract(values[2:], values[:-2], out=out[1:-1])
-        np.subtract(values[1], values[-1], out=out[0])
-        np.subtract(values[0], values[-2], out=out[-1])
-    else:
+    if direction == "y":
+        return _dbar_y_rows(values, 0, values.shape[0], spacing, out)
+    if direction != "x":
         raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
+    np.subtract(values[:, 2:], values[:, :-2], out=out[:, 1:-1])
+    np.subtract(values[:, 1], values[:, -1], out=out[:, 0])
+    np.subtract(values[:, 0], values[:, -2], out=out[:, -1])
     out /= 2.0 * spacing
     return out
 
