@@ -366,11 +366,7 @@ class GeneratorSet:
         object.__setattr__(self, "labels", tuple(self.labels))
         if self.labels and len(self.labels) != len(self.generators):
             raise ValueError("labels must parallel generators")
-        rows = [_row(g) for g in self.generators]
-        if _independent_mod_p(rows):
-            return
-        span = _SparseRref()
-        if not all(span.insert(row) for row in rows):
+        if _first_dependent([_row(g) for g in self.generators]) is not None:
             raise ValueError("generators are linearly dependent")
 
     def __len__(self):
@@ -426,6 +422,17 @@ def _independent_mod_p(rows) -> bool:
         else:
             return False  # the row reduced to zero
     return True
+
+
+def _first_dependent(rows) -> int | None:
+    """Index of the first of the sparse rows ``{column: Fraction}`` that
+    lies in the span of the rows before it, or None if they are linearly
+    independent over Q: proven by their rank mod ``_P`` when it is full,
+    else decided by exact elimination. The one independence proof."""
+    if _independent_mod_p(rows):
+        return None
+    span = _SparseRref()
+    return next((index for index, row in enumerate(rows) if not span.insert(row)), None)
 
 
 def _row(op: LinearOperator) -> dict:
@@ -638,8 +645,8 @@ _NULLSPACE_CACHE: dict = {}
 def center_dimension(region: Region, grid: GridSpec) -> int:
     """Dimension of the center, ``2M^2 - (M-2)^2``: region p components
     minus interior crosses. The p generators are unit rows in distinct
-    columns, so the count holds once the crosses are proven independent:
-    by their rank mod p, or else by exact elimination of their rows.
+    columns, so the count holds once the crosses are proven independent
+    (``_first_dependent``).
     Memoized in ``_NULLSPACE_CACHE``.
 
     Raises
@@ -651,12 +658,9 @@ def center_dimension(region: Region, grid: GridSpec) -> int:
     if key not in _NULLSPACE_CACHE:
         region.validate_on(grid)
         sites = region.stencil_interior_sites()
-        rows = [_row(b_operator(grid, site)) for site in sites]
-        if not _independent_mod_p(rows):
-            span = _SparseRref()
-            for site, row in zip(sites, rows):
-                if not span.insert(row):
-                    raise AssertionError(f"the interior cross at {site} depends on the others")
+        dependent = _first_dependent([_row(b_operator(grid, site)) for site in sites])
+        if dependent is not None:
+            raise AssertionError(f"the interior cross at {sites[dependent]} depends on the others")
         m = region.size
         _NULLSPACE_CACHE[key] = 2 * m * m - (m - 2) ** 2
     return _NULLSPACE_CACHE[key]

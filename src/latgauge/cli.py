@@ -14,12 +14,12 @@ import json
 import os
 import re
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
 
-from . import acceptance, continuum
+from . import acceptance, continuum, grid as grid_module
 from .algebra import Region, center_basis
 from .dynamics import PhaseSpaceState, SourceConfig, UnstableStep, trajectory
 from .fme import (
@@ -223,10 +223,9 @@ def _float_csv(x: float) -> str:
 
 def _write(path: str | None, chunks) -> None:
     """Write the text ``chunks`` as ASCII with ``\\n`` line endings to
-    ``path``, or to stdout when ``path`` is None. The one owner of the
-    no-partial-file rule: a new or regular file gets the chunks as they
-    come, into a file beside it that replaces ``path`` after the last
-    chunk and is removed on any exception. Stdout, a symlink (kept) and a
+    ``path``, or to stdout when ``path`` is None. A new or regular file
+    gets the chunks as they come, through ``grid._open_replacing``, so a
+    failed run leaves no partial file. Stdout, a symlink (kept) and a
     file that is not regular, such as a FIFO or a device, get the text
     once it is complete."""
     if path is None:
@@ -236,17 +235,8 @@ def _write(path: str | None, chunks) -> None:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
     else:
-        tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-                fh.writelines(chunks)
-            os.replace(tmp, path)
-        except BaseException as exc:
-            if isinstance(exc, OSError) and exc.filename == tmp:
-                exc.filename = path  # report the target, not the file beside it
-            with suppress(OSError):
-                os.remove(tmp)
-            raise
+        with grid_module._open_replacing(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.writelines(chunks)
 
 
 def _cmd_dynamics(ns: argparse.Namespace) -> int:

@@ -101,13 +101,13 @@ class ProtocolSpec:
             if not (np.isfinite(tau) and tau >= 0):
                 raise ValueError(f"tau must be finite and nonnegative, got {tau}")
         regions = (_region_of(self, "A"), _region_of(self, "B"))
-        for region, (row, col) in zip(regions, (self.site_a, self.site_b)):
+        for region, site in zip(regions, (self.site_a, self.site_b)):
             region.validate_on(self.grid)
-            for dc in range(-2, 3):
-                if not region.is_interior((row, col + dc)):
-                    raise ValueError(
-                        f"site {(row, col + dc)} must be strictly interior to {region}"
-                    )
+            left, right = (dressing_geometry(self.grid, site, d)[:2] for d in ("left", "right"))
+            # the five sites the moves touch, (target, link) of each, in column order
+            for touched in (*left, site, *right[::-1]):
+                if not region.is_interior(touched):
+                    raise ValueError(f"site {touched} must be strictly interior to {region}")
         if not _separated(*regions):
             raise ValueError("regions must be disjoint and separated")
         for phases in (self.gamma, self.gamma_prime):
@@ -172,7 +172,7 @@ def _region_charge(spec: ProtocolSpec, matter: MatterConfig, region: str) -> tup
     return here[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolTrace:
     """Outcome of a protocol run: ``final_spin`` holds the four branch
     amplitudes in branch order; ``phases`` records the evolution phase
@@ -293,14 +293,13 @@ def vn_entropy(density_matrix: np.ndarray) -> float:
         eigenvalues above -1e-10.
     """
     rho = np.asarray(density_matrix, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
-        raise NotDensityMatrix(f"expected a 2x2 or 4x4 matrix, got {rho.shape}")
+    if rho.shape != (2, 2):
+        raise NotDensityMatrix(f"expected a 2x2 matrix, got {rho.shape}")
     # the checks on Python scalars: a few numpy calls on a 2x2 cost more than the eigvalsh
-    m = rho.tolist()
-    k = len(m)
-    if any(abs(m[i][j] - m[j][i].conjugate()) > 1e-10 for i in range(k) for j in range(i, k)):
+    (a, b), (c, d) = rho.tolist()
+    if any(abs(x - y.conjugate()) > 1e-10 for x, y in ((a, a), (b, c), (d, d))):
         raise NotDensityMatrix("matrix is not Hermitian")
-    trace = sum(m[i][i] for i in range(k))
+    trace = a + d
     if abs(trace.real - 1.0) > 1e-10 or abs(trace.imag) > 1e-10:
         raise NotDensityMatrix(f"trace is {trace}, not 1")
     eigenvalues = np.linalg.eigvalsh(rho).tolist()

@@ -68,23 +68,17 @@ def wrap_phase(phi: float) -> float:
     return np.pi if y == -np.pi else y
 
 
-def _sublattice_means(values: np.ndarray) -> np.ndarray:
-    """The means of an even-N density over its four parity sublattices,
-    indexed ``[i % 2, j % 2]``."""
-    h = values.shape[0] // 2
-    return values.reshape(h, 2, h, 2).mean(axis=(0, 2))
-
-
-def _excluded_part(values: np.ndarray):
-    """The part of a density on the |k| = 0 modes. For odd N that is the
-    uniform mode, so the spatial mean. For even N the four sign patterns
-    ``(-1)^(a i + b j)``, a, b in {0, 1}, span exactly the functions that
-    are constant on each of the four parity sublattices, so the part is
-    the mean over the sublattice of each site."""
+def _zero_mode_means(values: np.ndarray) -> np.ndarray:
+    """The means of a density that fix its part on the |k| = 0 modes,
+    indexed ``[i % k, j % k]``: k = 1 at odd N, where that part is the
+    uniform mode, so the spatial mean; k = 2 at even N, where the four
+    sign patterns ``(-1)^(a i + b j)``, a, b in {0, 1}, span exactly the
+    functions that are constant on each of the four parity sublattices,
+    so the part is the mean over the sublattice of each site."""
     n = values.shape[0]
     if n % 2:
-        return values.mean()
-    return np.tile(_sublattice_means(values), (n // 2, n // 2))
+        return values.mean().reshape(1, 1)
+    return values.reshape(n // 2, 2, n // 2, 2).mean(axis=(0, 2))
 
 
 def gauss_residual(p: VectorField, rho: ScalarField) -> float:
@@ -93,10 +87,10 @@ def gauss_residual(p: VectorField, rho: ScalarField) -> float:
 
     Evaluated over row blocks of about ``_BLOCK_ENTRIES`` entries, so the
     only N^2 arrays are the ones passed in. Each entry is the literal
-    ``(rho - excluded) + (dbar_x p_x + dbar_y p_y)`` of
-    ``rho - _excluded_part(rho) + divergence(p)``, the y stencil reading
-    one wrapped halo row. The excluded part is the mean at odd N and, at
-    even N, the 2x2 sublattice means repeated along a block's rows. So
+    ``(rho - excluded) + (dbar_x p_x + dbar_y p_y)``, the y stencil
+    reading one wrapped halo row. The excluded part is
+    ``_zero_mode_means``: at odd N the mean, subtracted as a scalar, and
+    at even N the 2x2 sublattice means repeated along a block's rows. So
     the maximum is the whole-array one, bit for bit; a NaN anywhere gives
     NaN."""
     grid = p.grid
@@ -106,7 +100,8 @@ def gauss_residual(p: VectorField, rho: ScalarField) -> float:
     rho_v, px, py = rho.values, p.x.values, p.y.values
     even = n % 2 == 0
     # a scalar at odd N; at even N the two distinct rows of the tile
-    excluded = np.tile(_sublattice_means(rho_v), (1, n // 2)) if even else rho_v.mean()
+    means = _zero_mode_means(rho_v)
+    excluded = np.tile(means, (1, n // 2)) if even else means[0, 0]
     rows = _block_rows(n, even)
     div, res = np.empty((rows, n)), np.empty((rows, n))
     peaks = []
@@ -173,7 +168,7 @@ def coulomb_momentum(rho: ScalarField, kernels: KernelTable) -> VectorField:
         raise ValueError("rho must live on the kernel grid")
     sites = np.nonzero(rho.values)
     charges = rho.values[sites]
-    excluded = _excluded_part(rho.values)
+    excluded = _zero_mode_means(rho.values)
     if np.max(np.abs(excluded)) > 1e-12 * max(1.0, np.max(np.abs(charges), initial=0.0)):
         warnings.warn(
             NonNeutralWarning(

@@ -8,6 +8,8 @@ is the row (y direction), the second index ``j`` is the column
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +74,27 @@ def _owned(values: np.ndarray) -> np.ndarray:
         values = values.copy()
     values.flags.writeable = False
     return values
+
+
+@contextmanager
+def _open_replacing(path, mode: str, **kwargs):
+    """``open(path, mode, **kwargs)`` with no partial file at ``path``:
+    the bytes go to ``.<name>.<pid>.tmp`` beside it, which replaces
+    ``path`` once the block ends and is removed on any exception; an
+    OSError about that file names ``path``. The one owner of the
+    no-partial-file rule."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            exc.filename = path  # report the target, not the file beside it
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,9 +7,8 @@ inverse with 1/N^2. Mode index alpha pairs with rows (y), beta with
 columns (x), so the wave vector components are
 ``kx = sin(2 pi beta / N)/a`` and ``ky = sin(2 pi alpha / N)/a``.
 
-Every transform and mode sum runs on the numpy FFT; the direct sums on
-``_dft_matrix`` are test oracles, and only ``dft_forward`` keeps its
-direct path, for the DFT acceptance criterion.
+Every transform and mode sum runs on the numpy FFT; the direct sums
+are oracles, in the tests and in the DFT acceptance criterion.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grid as grid_module
 from .grid import GridSpec, ScalarField, _block_rows, _owned
 
 __all__ = [
@@ -66,27 +66,10 @@ class FourierField:
         object.__setattr__(self, "modes", _owned(modes))
 
 
-def _dft_matrix(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n)
-
-
-def dft_forward(field: ScalarField, method: str = "fft") -> FourierField:
-    """Forward transform with unit normalization.
-
-    ``method="fft"`` uses the numpy FFT, which implements the identical
-    convention; ``method="direct"`` evaluates the defining double sum and
-    serves as the oracle the fast path is tested against.
-    """
-    if method == "fft":
-        modes = np.fft.fft2(field.values)
-    elif method == "direct":
-        e = _dft_matrix(field.grid.n)
-        # modes[alpha, beta] = sum_ij E[alpha,i] f[i,j] E[beta,j]
-        modes = np.einsum("ai,ij,bj->ab", e, field.values.astype(complex), e)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return FourierField(field.grid, modes)
+def dft_forward(field: ScalarField) -> FourierField:
+    """Forward transform with unit normalization, by the numpy FFT, which
+    implements the identical convention."""
+    return FourierField(field.grid, np.fft.fft2(field.values))
 
 
 def dft_inverse(modes: FourierField) -> ScalarField:
@@ -134,7 +117,7 @@ def zero_mode_count(grid: GridSpec) -> int:
     return 1 if grid.n % 2 else 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelTable:
     """Real-space Coulomb kernel D (1/|k|^2 weights) with the zero modes
     excluded from its defining sum.
@@ -244,22 +227,12 @@ def _cache_key(grid: GridSpec) -> str:
 def save_kernels(table: KernelTable, path) -> None:
     """Serialize to the binary cache format: magic ``LGK2``, N (u32),
     a (f64), policy (u8), then the N^2 D values as row-major
-    little-endian doubles. The bytes go to a file beside ``path`` that
-    replaces it once complete and is removed on any exception, so a
-    failed save leaves an older cache file as it was."""
-    path = os.fspath(path)
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(struct.pack(_HEADER, _CACHE_MAGIC, table.grid.n, table.grid.spacing, 0))
-            np.ascontiguousarray(table.d_values, dtype="<f8").tofile(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
+    little-endian doubles. The bytes go through
+    ``grid._open_replacing``, so a failed save leaves an older cache
+    file as it was."""
+    with grid_module._open_replacing(path, "wb") as fh:
+        fh.write(struct.pack(_HEADER, _CACHE_MAGIC, table.grid.n, table.grid.spacing, 0))
+        np.ascontiguousarray(table.d_values, dtype="<f8").tofile(fh)
 
 
 def load_kernels(path) -> KernelTable:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latgauge import cli
+from latgauge import grid as grid_module
 from latgauge.algebra import Region, center_basis
 from latgauge.cli import UsageError, _parse_sweep, main, parse_args
 from latgauge.dynamics import UnstableStep
@@ -482,9 +483,10 @@ class _FullDisk:
 
 
 class TestOneWriter:
-    """``cli._write`` owns the no-partial-file rule: rows stream into a
-    file beside ``--out`` that replaces it only after the last row, and
-    targets that cannot be swapped get the complete text."""
+    """``cli._write`` streams rows through ``grid._open_replacing``, the
+    no-partial-file rule: into a file beside ``--out`` that replaces it
+    only after the last row. Targets that cannot be swapped get the
+    complete text."""
 
     @pytest.mark.parametrize("older", [None, b"older rows\n"], ids=["no-file", "older-file"])
     @pytest.mark.parametrize("name", list(_FAILING_RUNS))
@@ -503,7 +505,7 @@ class TestOneWriter:
     def test_write_error_after_the_first_chunk_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         runs = tmp_path / "runs"
         runs.mkdir()
-        monkeypatch.setattr(cli, "open", lambda *args, **kw: _FullDisk(open(*args, **kw)), raising=False)
+        monkeypatch.setattr(grid_module, "open", lambda *args, **kw: _FullDisk(open(*args, **kw)), raising=False)
         assert run([*_SHORT_RUN, "--out", str(runs / "out.csv")], tmp_path) == 1
         err = capsys.readouterr().err
         assert err == f"error: [Errno {errno.ENOSPC}] No space left on device\n"

@@ -119,9 +119,13 @@ def _oracle_protocol(spec, kernels, tau):
 
 class TestSpecValidation:
     def test_shifted_sites_must_be_interior(self):
+        # the first of the five sites the moves touch, in column order and
+        # wrapped mod N as the moves wrap, is the one reported
         grid = GridSpec(25, 1.0)
-        with pytest.raises(ValueError, match="strictly interior"):
+        with pytest.raises(ValueError, match=r"site \(12, 5\) must be strictly interior"):
             ProtocolSpec(grid, (12, 7), (12, 17), size=5)  # too tight for a +-2 shift
+        with pytest.raises(ValueError, match=r"site \(12, 24\) must be strictly interior"):
+            ProtocolSpec(grid, (12, 1), (12, 17), size=3)
 
     def test_regions_must_be_separated(self):
         grid = GridSpec(25, 1.0)
@@ -379,8 +383,11 @@ class TestVnEntropy:
             vn_entropy(np.array([[1.5, 0.0], [0.0, -0.5]]))
 
     def test_rejects_odd_shapes(self):
-        with pytest.raises(NotDensityMatrix):
+        with pytest.raises(NotDensityMatrix, match="expected a 2x2 matrix"):
             vn_entropy(np.eye(3) / 3.0)
+        # a valid two-spin density matrix: vn_entropy takes one spin only
+        with pytest.raises(NotDensityMatrix, match=r"expected a 2x2 matrix, got \(4, 4\)"):
+            vn_entropy(np.eye(4) / 4.0)
 
 
 class TestEmbezzlement:

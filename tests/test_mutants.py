@@ -6,6 +6,8 @@ The test modules are imported as modules, not their classes, so pytest
 does not collect their tests a second time here.
 """
 
+import contextlib
+import os
 import re
 import shutil
 from dataclasses import replace
@@ -22,7 +24,7 @@ import test_golden
 import test_grid
 import test_spectral
 import test_surface
-from latgauge import acceptance, algebra, cli, dynamics, fme, gaussian, spectral
+from latgauge import acceptance, algebra, cli, dynamics, fme, gaussian, grid, spectral
 from latgauge.algebra import Label, Region
 from latgauge.grid import GridSpec, ScalarField
 from latgauge.matter import MatterConfig
@@ -524,3 +526,33 @@ def test_write_in_place_fails_older_file_test(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "_write", _write_in_place)
     with pytest.raises(AssertionError):
         check(tmp_path / "mutant", capsys, "dynamics", b"older rows\n")
+
+
+@contextlib.contextmanager
+def _replace_first(path, mode, **kwargs):
+    # the file beside the target replaces it before the first byte, not
+    # after the last; open is looked up where the real helper finds it
+    tmp = f"{os.fspath(path)}.tmp"
+    with getattr(grid, "open", open)(tmp, mode, **kwargs) as fh:
+        os.replace(tmp, path)
+        yield fh
+
+
+def test_early_replace_fails_both_writers_tests(monkeypatch, tmp_path, capsys):
+    # one helper writes --out and the kernel cache: one mutant of it
+    # fails the no-partial-file test of each
+    cli_check = test_cli.TestOneWriter().test_write_error_after_the_first_chunk_leaves_no_file
+    cache_check = test_spectral.TestKernelCache().test_failed_save_leaves_the_older_file
+    for case in ("intact", "mutant"):
+        for name in ("cli", "cache"):
+            (tmp_path / case / name).mkdir(parents=True)
+    with pytest.MonkeyPatch.context() as patch:
+        cli_check(tmp_path / "intact" / "cli", patch, capsys)
+    with pytest.MonkeyPatch.context() as patch:
+        cache_check(tmp_path / "intact" / "cache", patch)
+    monkeypatch.setattr(grid, "_open_replacing", _replace_first)
+    # a partial --out is left, and the older cache file is overwritten
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(AssertionError, match=r"'out\.csv'"):
+        cli_check(tmp_path / "mutant" / "cli", patch, capsys)
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(AssertionError, match="LGK2"):
+        cache_check(tmp_path / "mutant" / "cache", patch)

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from latgauge import grid as grid_module
 from latgauge import spectral
+from latgauge.acceptance import _dft_matrix, _direct_dft
 from latgauge.grid import GridSpec, ScalarField, _block_rows, dbar
 from latgauge.spectral import (
     FourierField,
     NonRealResult,
     _assert_table,
-    _dft_matrix,
     _mode_weights,
     build_kernels,
     dft_forward,
@@ -81,8 +81,8 @@ class TestForward:
     def test_direct_path_agrees_with_fft(self):
         grid = GridSpec(7, 1.0)
         f = random_field(grid, 2)
-        fast = dft_forward(f, method="fft").modes
-        direct = dft_forward(f, method="direct").modes
+        fast = dft_forward(f).modes
+        direct = _direct_dft(f.values)
         assert np.max(np.abs(fast - direct)) < 1e-10 * np.max(np.abs(fast))
         ff = FourierField(grid, fast)
         back_fast = dft_inverse(ff).values
@@ -346,6 +346,12 @@ class TestKernelCache:
             save_kernels(build_kernels(GridSpec(5, 2.0)), path)
         assert path.read_bytes() == older
         assert [f.name for f in tmp_path.iterdir()] == ["kern.lgk"]
+
+    def test_failed_save_names_the_cache_file(self, tmp_path):
+        path = tmp_path / "missing" / "kern.lgk"
+        with pytest.raises(FileNotFoundError) as failed:
+            save_kernels(build_kernels(GridSpec(5, 1.0)), path)
+        assert failed.value.filename == str(path)
 
     def test_file_holds_header_and_d_only(self, tmp_path):
         path = tmp_path / "kern.lgk"

@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves, every exported
-class other than an exception is a frozen dataclass, every function the
+class other than an exception is a frozen dataclass (one that holds an
+array compares and hashes by identity), every function the
 benchmark's layer trace wraps still exists and records calls on a traced
 op, every argv the benchmark generates or README.md shows still parses,
 every function in the package reads each of its parameters, and
@@ -17,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import latgauge
@@ -62,19 +64,58 @@ def test_nullspace_cache_exists():
     assert isinstance(algebra._NULLSPACE_CACHE, dict)
 
 
-def test_exported_classes_are_frozen_dataclasses():
-    # README's immutable-values rule: a value handed out by the package
-    # cannot be reassigned; exceptions and warnings are not values
-    hand_rolled = []
+def _exported_classes():
+    """Every exported class other than an exception, by name."""
+    classes = {}
     for module_name in MODULES:
         module = importlib.import_module(module_name)
         for name in module.__all__:
             obj = getattr(module, name)
-            if not isinstance(obj, type) or issubclass(obj, BaseException):
-                continue
-            if not (dataclasses.is_dataclass(obj) and obj.__dataclass_params__.frozen):
-                hand_rolled.append(f"{module_name}.{name}")
+            if isinstance(obj, type) and not issubclass(obj, BaseException):
+                classes[name] = obj
+    return classes
+
+
+def test_exported_classes_are_frozen_dataclasses():
+    # README's immutable-values rule: a value handed out by the package
+    # cannot be reassigned; exceptions and warnings are not values
+    hand_rolled = [
+        name
+        for name, cls in _exported_classes().items()
+        if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)
+    ]
     assert hand_rolled == []
+
+
+# a maker of one value per exported dataclass with an ndarray field;
+# two calls give distinct values with equal arrays
+_ARRAY_VALUES = {
+    "ScalarField": lambda: latgauge.ScalarField.zeros(latgauge.GridSpec(3)),
+    "FourierField": lambda: latgauge.FourierField(latgauge.GridSpec(3), np.zeros((3, 3))),
+    "KernelTable": lambda: latgauge.build_kernels(latgauge.GridSpec(3)),
+    "ProtocolTrace": lambda: latgauge.fme.ProtocolTrace(
+        np.full(4, 0.5 + 0j), dict.fromkeys(latgauge.fme.BRANCHES, 0.0), 0.0
+    ),
+}
+
+
+def test_every_array_holder_has_a_value_maker():
+    holders = [
+        name
+        for name, cls in _exported_classes().items()
+        if dataclasses.is_dataclass(cls)
+        and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))
+    ]
+    assert sorted(holders) == sorted(_ARRAY_VALUES)
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_VALUES))
+def test_array_holders_compare_by_identity_and_hash(name):
+    # a generated __eq__ compares the arrays, whose truth value raises,
+    # and the hash it implies hashes them, which raises too
+    a, b = _ARRAY_VALUES[name](), _ARRAY_VALUES[name]()
+    assert (a == b) is False and (a != b) is True and (a == a) is True
+    assert isinstance(hash(a), int) and isinstance(hash(b), int)
 
 
 WORKLOADS = _load_perfbench("workloads")
